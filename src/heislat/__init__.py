@@ -34,7 +34,7 @@ from .lattice import (
     volume_unit_ball,
 )
 from .moments import MomentValue, density_moment, q2_closed, q_analytic, q_ergodic, third_moment_sum, variance_series
-from .phi import PhiTruncation, build_phi, partial_sum_phi, phi_truncated, phi_value, tail_bound_for
+from .phi import PhiTruncation, build_phi, partial_sum_phi, phi_value, tail_bound_for
 from .voronoi import (
     VoronoiCoefficients,
     build_S_terms,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -228,11 +229,13 @@ def l_chi4_value(s: float, n_terms: int = 200_000) -> float:
     return 0.5 * (partial + nxt)
 
 
+@lru_cache(maxsize=None)
 def rho_q(q: int) -> float:
     """pi^q / ((1 - 2^-q) Gamma(q) zeta(q)), the even-q amplitude constant."""
     return math.pi**q / ((1 - 2.0**-q) * math.gamma(q) * zeta_value(q))
 
 
+@lru_cache(maxsize=None)
 def rho_chi_q(q: int) -> float:
     """pi^q / (2^(q-1) Gamma(q) L(q, chi4)), the odd-q amplitude constant."""
     return math.pi**q / (2 ** (q - 1) * math.gamma(q) * l_chi4_value(q))

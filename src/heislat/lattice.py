@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import sympy
 
 from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
 
@@ -182,6 +181,11 @@ def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> in
     return int(hi.sum(dtype=np.int64)) * 2**32 + int(lo.sum(dtype=np.int64))
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division; the sampler asks only about denominators below 4e4."""
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
 def sample_normalized_errors(
     q: int, tables: ArithTables, x_lo: int, x_hi: int, n_samples: int
 ) -> ErrorSample:
@@ -199,7 +203,7 @@ def sample_normalized_errors(
     den_max = 1
     while (x_hi * (den_max + 1)) ** 4 * 2 < 2**62:
         den_max += 1
-    den = next((d for d in range(den_max, 1, -1) if sympy.isprime(d)), den_max)
+    den = next((d for d in range(den_max, 1, -1) if _is_prime(d)), den_max)
     if den < den_need:
         raise BudgetError("sample grid too fine for the vectorized counting path")
     vol = volume_unit_ball(q)

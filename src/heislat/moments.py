@@ -229,7 +229,15 @@ def variance_series(q: int, n_limit: int = 200_000, d_max: int = 15) -> MomentVa
     Computed by sieving all two-squares representations up to n_limit and
     accumulating the weighted counts per modulus.  The n-tail estimate is
     empirical (fitted log n / sqrt(n) shape); the d-tail uses the majorant.
+    The series is summed once per (q, n_limit, d_max); every call returns a
+    fresh MomentValue.
     """
+    value, err = _variance_series(q, n_limit, d_max)
+    return MomentValue(value, err, "direct-series", {"n_limit": n_limit, "d_max": d_max})
+
+
+@lru_cache(maxsize=None)
+def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
     amax = math.isqrt(n_limit)
     a_list, b_list = [], []
     for a in range(amax + 1):
@@ -250,7 +258,6 @@ def variance_series(q: int, n_limit: int = 200_000, d_max: int = 15) -> MomentVa
         W_four = W * np.array([chi4(int(a)) for a in np.abs(A)])
 
     half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
-    inv_n32 = N.astype(np.float64) ** -1.5
     total = 0.0
     sub_first = 0.0
     for d in range(1, d_max + 1):
@@ -284,8 +291,7 @@ def variance_series(q: int, n_limit: int = 200_000, d_max: int = 15) -> MomentVa
         dd**-s for dd in range(4, d_max + 1, 4)
     )
     tail_d = max(d_full - d_partial, 0.0) * sub_first
-    err = half_pref * tail_d + tail_n
-    return MomentValue(value, err, "direct-series", {"n_limit": n_limit, "d_max": d_max})
+    return value, half_pref * tail_d + tail_n
 
 
 def _prime_factors(d: int) -> list[int]:

@@ -69,20 +69,29 @@ class PhiTruncation:
     def grid_values(self, n_points: int) -> np.ndarray:
         """Values at t_j = j * period / n_points for j = 0..n_points-1.
 
-        n_points must be a multiple of the period; every term then repeats
-        after n_points * d / period samples, so the oscillation is computed
-        on one short cycle and tiled.
+        n_points must be a multiple of the period; term (k, d) then sits on
+        the integer frequency bin f = k * period / d with complex amplitude
+        coef * exp(-i pi/4) (times -i for a sine), and the grid is the real
+        part of an inverse DFT of length n_points, exact for aliased bins
+        too.  It runs as r inverse FFTs of length M = n_points / r, so the
+        working memory stays O(M): samples j = c (mod r) see bin f at
+        f mod M with the phase exp(2 pi i f c / n_points).
         """
         P = self.period
         if n_points % P:
             raise ValueError("n_points must be a multiple of the period")
-        out = np.zeros(n_points)
-        for k, d, c, isc in zip(self.k, self.d, self.coef, self.is_cos):
-            cycle = n_points * int(d) // P
-            j = np.arange(cycle, dtype=np.float64)
-            arg = 2 * math.pi * (int(k) * j) / cycle * 1.0 - QUARTER
-            block = c * (np.cos(arg) if isc else np.sin(arg))
-            out.reshape(P // int(d), cycle)[:] += block
+        r = 1
+        while n_points % (2 * r) == 0 and n_points // (2 * r) >= 2**15:
+            r *= 2
+        M = n_points // r
+        f = self.k * (P // self.d) % n_points
+        bins = f % M
+        z = self.coef * np.exp(-1j * QUARTER) * np.where(self.is_cos, 1, -1j)
+        out = np.empty(n_points)
+        for c in range(r):
+            zc = z * np.exp(2j * math.pi * (f * c % n_points) / n_points)
+            spec = np.bincount(bins, zc.real, M) + 1j * np.bincount(bins, zc.imag, M)
+            out[c::r] = (M * np.fft.ifft(spec)).real
         return out
 
 
@@ -147,11 +156,6 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
 def phi_value(q: int, m: int, t, d_max: int = 128, k_max: int = 128) -> np.ndarray:
     """phi_m(t) from the truncated series (d <= d_max, k <= k_max)."""
     return build_phi(q, m, d_max, k_max)(t)
-
-
-def phi_truncated(q: int, m: int, t, n: int, k_max: int = 128) -> np.ndarray:
-    """Modulus-truncated component: moduli d <= n only."""
-    return build_phi(q, m, n, k_max)(t)
 
 
 @lru_cache(maxsize=None)
@@ -239,14 +243,8 @@ def partial_sum_phi(q: int, M: int, x, d_max: int = 128, k_max: int = 128) -> np
     as M grows.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x2 = x * x
     out = np.zeros_like(x)
     for m in range(1, M + 1):
-        if component_vanishes(m):
-            continue
-        trunc = build_phi(q, m, d_max, k_max)
-        root = math.sqrt(m)
-        for k, d, c, isc in zip(trunc.k, trunc.d, trunc.coef, trunc.is_cos):
-            arg = 2 * math.pi * (int(k) * root / int(d)) * x2 - QUARTER
-            out += c * (np.cos(arg) if isc else np.sin(arg))
+        if not component_vanishes(m):
+            out += build_phi(q, m, d_max, k_max)(math.sqrt(m) * x * x)
     return out
