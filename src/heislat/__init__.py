@@ -27,24 +27,20 @@ from .distribution import DensityGrid, cdf_and_moments, char_factor, char_functi
 from .empirical import SampleSeries, empirical_lambda_moment, ks_distance, sample_errors, component_sum_l2_gap
 from .lattice import (
     ErrorSample,
-    GroupParams,
     count_points,
     count_points_bruteforce,
     normalized_error,
     volume_unit_ball,
 )
 from .moments import MomentValue, density_moment, q2_closed, q_analytic, q_ergodic, third_moment_sum, variance_series
-from .phi import PhiTruncation, build_phi, partial_sum_phi, phi_value, tail_bound_for
+from .phi import PhiTruncation, build_phi, partial_sum_phi, tail_bound_for
 from .voronoi import (
     VoronoiCoefficients,
     build_S_terms,
     coeff_aH,
-    eval_S_qH,
-    eval_S_star_qH,
     eval_T_sums,
     mean_square_gap,
     tau,
-    tau_star,
 )
 
 __version__ = "0.1.0"

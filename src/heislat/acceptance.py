@@ -7,11 +7,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .arithmetic import build_r2q_prefix, chi4, load_tables, r2_weighted, r2_weighted_chi, save_tables
+from .arithmetic import chi4, r2_weighted, r2_weighted_chi, shell_tables
 from .distribution import cdf_and_moments, char_function, density
 from .empirical import ks_distance, ks_distance_gaussian, sample_errors, component_sum_l2_gap
 from .lattice import count_points, count_points_bruteforce, volume_unit_ball
@@ -24,20 +23,9 @@ _CACHE_DIR: str | None = None
 
 def _tables(q: int, limit: int):
     key = (q, limit)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    if _CACHE_DIR:
-        path = Path(_CACHE_DIR) / f"shells_q{q}_n{limit}.bin"
-        if path.exists():
-            t = load_tables(path)
-        else:
-            t = build_r2q_prefix(q, limit)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_tables(t, path)
-    else:
-        t = build_r2q_prefix(q, limit)
-    _TABLE_CACHE[key] = t
-    return t
+    if key not in _TABLE_CACHE:
+        _TABLE_CACHE[key] = shell_tables(q, limit, _CACHE_DIR)
+    return _TABLE_CACHE[key]
 
 
 def criterion_1_counting_oracle():

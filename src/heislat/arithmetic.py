@@ -9,6 +9,7 @@ character mod 4, Dirichlet series values).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -89,6 +90,12 @@ def has_prime_factor_3_mod_4(n: int) -> bool:
     return n > 1 and n % 4 == 3
 
 
+def _chi4_array(v: np.ndarray) -> np.ndarray:
+    """chi4 elementwise, as floats."""
+    r = np.mod(v, 4)
+    return np.where(r == 1, 1.0, np.where(r == 3, -1.0, 0.0))
+
+
 def two_square_reps(n: int) -> list[tuple[int, int]]:
     """Ordered pairs (a, b) with a, b >= 0 and a^2 + b^2 = n.
 
@@ -116,27 +123,32 @@ def r2(n: int) -> int:
     return total
 
 
+def _rep_weight(a, m, q: int):
+    """(a^2/m)^((q-1)/2), the weight of a representation m = a^2 + b^2.
+
+    Works elementwise on arrays.  a^2/m is a correctly rounded float, which
+    makes the scaling identity r2_weighted(m s^2, d s, q) ==
+    r2_weighted(m, d, q) hold exactly.
+    """
+    return (a * a / m) ** ((q - 1) / 2)
+
+
 def r2_weighted(m: int, d: int, q: int, reps: list[tuple[int, int]] | None = None) -> float:
     """Weighted two-squares count with modulus condition on b.
 
     Sum over (a, b) in Z^2 with a^2 + b^2 = m and b = 0 mod d of
-    (|a| / sqrt(m))^(q-1).  The weight is computed as a correctly rounded
-    float of a^2/m raised to (q-1)/2, which makes the scaling identity
-    r2_weighted(m s^2, d s, q) == r2_weighted(m, d, q) hold exactly.
+    (|a| / sqrt(m))^(q-1), computed by _rep_weight.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive")
     if reps is None:
         reps = two_square_reps(m)
-    half = (q - 1) // 2
     total = 0.0
     for a, b in reps:
         if b % d:
             continue
         mult = (2 if a else 1) * (2 if b else 1)
-        ratio = (a * a) / m
-        w = ratio**half if q % 2 else ratio ** ((q - 1) / 2)
-        total += mult * w
+        total += mult * _rep_weight(a, m, q)
     return total
 
 
@@ -146,7 +158,6 @@ def r2_weighted_chi(m: int, d: int, q: int, reps: list[tuple[int, int]] | None =
         raise ValueError("m and d must be positive")
     if reps is None:
         reps = two_square_reps(m)
-    half = (q - 1) // 2
     total = 0.0
     for a, b in reps:
         if b % d:
@@ -155,9 +166,7 @@ def r2_weighted_chi(m: int, d: int, q: int, reps: list[tuple[int, int]] | None =
         if c == 0:
             continue
         mult = (2 if a else 1) * (2 if b else 1)
-        ratio = (a * a) / m
-        w = ratio**half if q % 2 else ratio ** ((q - 1) / 2)
-        total += c * mult * w
+        total += c * mult * _rep_weight(a, m, q)
     return total
 
 
@@ -303,22 +312,57 @@ def _exact_cumsum(values: np.ndarray):
 
 
 def save_tables(tables: ArithTables, path: str | Path) -> None:
-    """Cache prefix sums: magic, q, limit, then little-endian u64 entries."""
+    """Cache prefix sums: magic, q, limit, then little-endian u64 entries.
+
+    The file is written beside its destination and moved into place, so a
+    reader sees either the old file or the complete new one.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<qq", tables.q, tables.limit))
-        fh.write(tables.prefix.astype("<u8").tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<qq", tables.q, tables.limit))
+            fh.write(tables.prefix.astype("<u8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tables(path: str | Path) -> ArithTables:
+    """Read a cache written by save_tables; ValueError if it is not one."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path} is not a shell-count cache")
-        q, limit = struct.unpack("<qq", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path} is truncated")
+        q, limit = struct.unpack("<qq", header)
         data = np.frombuffer(fh.read(), dtype="<u8")
     if len(data) != limit + 1:
         raise ValueError(f"{path} is truncated")
     return ArithTables(q=q, limit=limit, prefix=data.astype(np.int64))
+
+
+def shell_tables(q: int, limit: int, cache_dir: str | Path | None = None) -> ArithTables:
+    """Shell tables for (q, limit), kept as a file in cache_dir when given.
+
+    A cache file that cannot be read, or whose header names another
+    (q, limit), is rebuilt and replaced.
+    """
+    if not cache_dir:
+        return build_r2q_prefix(q, limit)
+    path = Path(cache_dir) / f"shells_q{q}_n{limit}.bin"
+    try:
+        tables = load_tables(path)
+        if (tables.q, tables.limit) == (q, limit):
+            return tables
+    except (OSError, ValueError):
+        pass
+    tables = build_r2q_prefix(q, limit)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_tables(tables, path)
+    return tables

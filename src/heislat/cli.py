@@ -11,15 +11,14 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
-from .arithmetic import BudgetError, build_r2q_prefix, load_tables, save_tables
+from .arithmetic import BudgetError, shell_tables
 from .distribution import cdf_and_moments, density
-from .empirical import error_histogram, ks_distance, sample_errors, component_sum_l2_gap
+from .empirical import component_sum_l2_gap, sample_errors
 from .lattice import as_fraction, count_points, normalized_error, volume_unit_ball
 from .moments import density_moment, q2_closed, q_analytic, q_ergodic
 from .phi import build_phi, partial_sum_phi
@@ -82,18 +81,6 @@ def _apply_config(args) -> None:
     for key, val in _load_config(getattr(args, "config", None)).items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, _coerce(val))
-
-
-def _tables_for(q: int, limit: int, cache: str | None):
-    if cache:
-        path = Path(cache) / f"shells_q{q}_n{limit}.bin"
-        if path.exists():
-            return load_tables(path)
-        tables = build_r2q_prefix(q, limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_tables(tables, path)
-        return tables
-    return build_r2q_prefix(q, limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +191,7 @@ def _dispatch(args) -> int:
         else:
             x4 = as_fraction(args.x2) ** 2
         limit = math.isqrt(x4.numerator // x4.denominator)
-        tables = _tables_for(args.q, limit, args.cache)
+        tables = shell_tables(args.q, limit, args.cache)
         n = count_points(args.q, tables, x4=x4)
         if args.out:
             _emit({"schema": SCHEMA_VERSION, "count": n}, args.out)
@@ -214,7 +201,7 @@ def _dispatch(args) -> int:
     if cmd == "error":
         x4 = as_fraction(args.x) ** 4
         limit = math.isqrt(x4.numerator // x4.denominator)
-        tables = _tables_for(args.q, limit, args.cache)
+        tables = shell_tables(args.q, limit, args.cache)
         val = normalized_error(args.q, tables, x4=x4)
         _emit(
             {
@@ -229,7 +216,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "voronoi-gap":
         limit = (2 * args.X) ** 2
-        tables = _tables_for(args.q, limit, args.cache)
+        tables = shell_tables(args.q, limit, args.cache)
         gap = mean_square_gap(args.q, tables, args.X, args.samples, args.H)
         _emit({"schema": SCHEMA_VERSION, "X": args.X, "gap": gap}, args.out)
         return 0
@@ -306,7 +293,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "empirical":
         limit = (2 * args.X) ** 2
-        tables = _tables_for(args.q, limit, args.cache)
+        tables = shell_tables(args.q, limit, args.cache)
         series = sample_errors(args.q, tables, args.X, args.samples)
         report = {"schema": SCHEMA_VERSION, "q": args.q, "X": args.X, **series.stats()}
         if args.M:
@@ -314,8 +301,6 @@ def _dispatch(args) -> int:
                 args.q, tables, args.X, [args.M], n_samples=min(args.samples, 1500)
             )
             report["component_sum_gaps"] = {str(k): v for k, v in gaps.items()}
-        counts, edges = error_histogram(series)
-        report["hist_rule"] = "freedman-diaconis"
         if args.out:
             _emit_csv(["x", "err"], zip(series.x, series.err), args.out)
         _emit(report, None)

@@ -53,9 +53,11 @@ def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int = 0, n_bins: i
     if hi - lo < 1e-12:
         hi = lo + 1e-12
     width = (hi - lo) / n_bins
-    idx = np.minimum(((vals - lo) / width).astype(np.int64), n_bins - 1)
+    idx = ((vals - lo) / width).astype(np.int64)
+    np.minimum(idx, n_bins - 1, out=idx)
     centers = lo + (np.arange(n_bins) + 0.5) * width
-    dev = vals - centers[idx]
+    # the grid is not needed after binning: reuse it, one grid-sized array fewer
+    dev = np.subtract(vals, centers[idx], out=vals)
     s0 = np.bincount(idx, minlength=n_bins).astype(np.float64)
     s1 = np.bincount(idx, weights=dev, minlength=n_bins)
     s2 = np.bincount(idx, weights=dev * dev, minlength=n_bins)

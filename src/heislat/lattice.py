@@ -17,25 +17,6 @@ import numpy as np
 from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """Dimension parameter of the group R^(2q) x R, q >= 3."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 3:
-            raise ValueError("q must be at least 3")
-
-    @property
-    def homogeneous_dim(self) -> int:
-        return 2 * self.q + 2
-
-    @property
-    def error_exponent(self) -> int:
-        return 2 * self.q - 1
-
-
 @dataclass
 class ErrorSample:
     """Normalized error samples on a grid of dilation parameters."""

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .arithmetic import (
     BudgetError,
-    chi4,
+    _chi4_array,
+    _rep_weight,
+    eps_sign,
     frak_r,
-    r2,
     r2_weighted,
     r2_weighted_chi,
     two_square_reps,
@@ -88,7 +88,7 @@ def q_analytic(
             f"{n_items}^{ell - 1} tuples exceed the enumeration budget {budget}"
         )
     lookup = {(d, k): v for d, k, v in items}
-    eps = [0] + [(1 if d % 2 else -1) if q % 2 else 1 for d in range(1, d_max + 1)]
+    eps = [0] + [eps_sign(d, q) for d in range(1, d_max + 1)]
     weights = {(d, k): v / (d ** (q - 1.5) * k**1.5) for d, k, v in items}
     cosv = [math.cos(a * math.pi / 4) for a in range(8)]
 
@@ -197,13 +197,6 @@ def q_ergodic(
     return MomentValue(value, err, "ergodic", {"period": P, "n_points": n_points})
 
 
-def q_moment(q: int, m: int, ell: int, **kwargs) -> MomentValue:
-    """Preferred route per order: closed form for l = 2, else enumeration."""
-    if ell == 2:
-        return q2_closed(q, m, **kwargs)
-    return q_analytic(q, m, ell, **kwargs)
-
-
 def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) -> MomentValue:
     """Sum over m <= m_max of Q(m, 3) with aggregated truncation error.
 
@@ -232,6 +225,8 @@ def variance_series(q: int, n_limit: int = 200_000, d_max: int = 15) -> MomentVa
     The series is summed once per (q, n_limit, d_max); every call returns a
     fresh MomentValue.
     """
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     value, err = _variance_series(q, n_limit, d_max)
     return MomentValue(value, err, "direct-series", {"n_limit": n_limit, "d_max": d_max})
 
@@ -251,15 +246,13 @@ def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
     keep = N >= 1
     A, B, N = A[keep], B[keep], N[keep]
     mult = np.where(A > 0, 2.0, 1.0) * np.where(B > 0, 2.0, 1.0)
-    W = mult * (A.astype(np.float64) ** 2 / N) ** ((q - 1) / 2)
-    if q % 2 == 0:
-        W_four = W
-    else:
-        W_four = W * np.array([chi4(int(a)) for a in np.abs(A)])
+    W = mult * _rep_weight(A.astype(np.float64), N, q)
+    W_four = W if q % 2 == 0 else W * _chi4_array(A)
 
     half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
+    n = np.arange(n_limit + 1, dtype=np.float64)
+    n[0] = 1.0
     total = 0.0
-    sub_first = 0.0
     for d in range(1, d_max + 1):
         if d % 4 == 2:
             continue
@@ -267,23 +260,19 @@ def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
         r2d = np.zeros(n_limit + 1)
         weights = W if (d % 2 or q % 2 == 0) else W_four
         np.add.at(r2d, N[sel], weights[sel])
-        n = np.arange(n_limit + 1, dtype=np.float64)
-        n[0] = 1.0
         coprime = np.ones(n_limit + 1, dtype=bool)
         for p in _prime_factors(d):
             coprime[::p] = False
-        if d % 2:
-            contrib = float(np.sum((r2d[coprime] ** 2) * (n[coprime] ** -1.5)))
-            term = contrib / d ** (2 * q - 3)
-            total += term
-            if d == 1:
-                sub_first = contrib
-        else:
-            contrib = float(np.sum((r2d[coprime] ** 2) * (n[coprime] ** -1.5)))
-            total += 2 ** (2 * q) * contrib / d ** (2 * q - 3)
+        terms = r2d[coprime] ** 2 * n[coprime] ** -1.5
+        contrib = float(np.sum(terms))
+        total += (1 if d % 2 else 2 ** (2 * q)) * contrib / d ** (2 * q - 3)
+        if d == 1:
+            sub_first = contrib
+            octave = float(np.sum(terms[n_limit // 2 :]))
     value = half_pref * total
-    # n-tail estimate: the d = 1 partial sums grow like a + b log(n)/sqrt(n)
-    tail_n = _variance_tail_estimate(q, n_limit)
+    # n-tail estimate: the d = 1 series has a c log(t)/t^(3/2) density, whose
+    # mass in the top octave [n/2, n] is about (sqrt(2) - 1) of the remainder
+    tail_n = half_pref * octave / (math.sqrt(2) - 1)
     s = 2 * q - 3
     z = zeta_value(s)
     d_full = (1 - 2.0**-s) * z + 2 ** (2 * q) * 4.0**-s * z
@@ -306,35 +295,6 @@ def _prime_factors(d: int) -> list[int]:
     if d > 1:
         out.append(d)
     return out
-
-
-def _variance_tail_estimate(q: int, n_limit: int) -> float:
-    """Estimated mass of the d = 1 series beyond n_limit.
-
-    Average of r2(n, 1; q)^2 is of order log n; integrate the fitted
-    c log(t)/t^(3/2) density from n_limit onwards using the observed mass
-    in the top octave as calibration.
-    """
-    lo, hi = n_limit // 2, n_limit
-    amax = math.isqrt(hi)
-    acc = np.zeros(hi - lo + 1)
-    for a in range(amax + 1):
-        if a * a > hi:
-            break
-        bmax = math.isqrt(hi - a * a)
-        b = np.arange(0, bmax + 1, dtype=np.int64)
-        n = a * a + b * b
-        sel = n >= lo
-        b, n = b[sel], n[sel]
-        mult = (2.0 if a else 1.0) * np.where(b > 0, 2.0, 1.0)
-        w = mult * (a * a / n) ** ((q - 1) / 2)
-        np.add.at(acc, n - lo, w)
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    octave_mass = float(np.sum(acc**2 * ns**-1.5))
-    # mass in [n/2, n] of a c log t / t^(3/2) tail is ~ (sqrt(2)-1) of the
-    # remaining tail at n, so the full remainder is about 1/(sqrt(2)-1) times
-    half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
-    return half_pref * octave_mass / (math.sqrt(2) - 1)
 
 
 def density_moment(

@@ -153,11 +153,6 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
     )
 
 
-def phi_value(q: int, m: int, t, d_max: int = 128, k_max: int = 128) -> np.ndarray:
-    """phi_m(t) from the truncated series (d <= d_max, k <= k_max)."""
-    return build_phi(q, m, d_max, k_max)(t)
-
-
 @lru_cache(maxsize=None)
 def divisor_counts(limit: int) -> np.ndarray:
     tau_arr = np.zeros(limit + 1, dtype=np.int64)

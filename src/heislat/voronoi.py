@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithTables, chi4, rho_chi_q, rho_q, two_square_reps, xi
+from .arithmetic import ArithTables, _chi4_array, _rep_weight, chi4, rho_chi_q, rho_q, two_square_reps, xi
 from .lattice import sample_normalized_errors
 
 QUARTER = math.pi / 4
@@ -30,23 +30,6 @@ def tau(t: float) -> float:
     return t * (1 - t) / math.tan(math.pi * t) + t / math.pi
 
 
-def tau_star(t: float) -> float:
-    """Polynomial kernel t(1-t) on [0, 1]."""
-    if t < 0 or t > 1:
-        raise ValueError("tau_star is defined on [0, 1]")
-    return t * (1 - t)
-
-
-def lam(h: int) -> int:
-    """+1 for h = 0 mod 4, -1 for h = 2 mod 4, else 0."""
-    r = h % 4
-    if r == 0:
-        return 1
-    if r == 2:
-        return -1
-    return 0
-
-
 def _rep_pairs(m: int, h_cap: float):
     """Pairs (n, h) with n^2 + h^2 = m, 0 <= n <= h, 1 <= h <= h_cap.
 
@@ -57,11 +40,6 @@ def _rep_pairs(m: int, h_cap: float):
             yield n, h, (n == 0 or n == h)
 
 
-def _weight(a: int, m: int, q: int) -> float:
-    ratio = (a * a) / m
-    return ratio ** ((q - 1) // 2) if q % 2 else ratio ** ((q - 1) / 2)
-
-
 def coeff_aH(q: int, m: int, d: int, H: float) -> float:
     """Smoothed representation coefficient with the tau kernel."""
     inv1 = 1.0 / (math.floor(H) + 1)
@@ -70,23 +48,9 @@ def coeff_aH(q: int, m: int, d: int, H: float) -> float:
     for n, h, edge in _rep_pairs(m, H):
         half = 0.5 if edge else 1.0
         if n % d == 0:
-            total += half * tau(h * inv1) * _weight(h, m, q)
+            total += half * tau(h * inv1) * _rep_weight(h, m, q)
         if h % d == 0:
-            total += half * tau(h / den2) * _weight(n, m, q)
-    return total / m**0.75
-
-
-def coeff_aH_star(q: int, m: int, d: int, H: float) -> float:
-    """Companion coefficient with tau replaced by tau_star."""
-    inv1 = 1.0 / (math.floor(H) + 1)
-    den2 = d * (math.floor(H / d) + 1)
-    total = 0.0
-    for n, h, edge in _rep_pairs(m, H):
-        half = 0.5 if edge else 1.0
-        if n % d == 0:
-            total += half * tau_star(h * inv1) * _weight(h, m, q)
-        if h % d == 0:
-            total += half * tau_star(h / den2) * _weight(n, m, q)
+            total += half * tau(h / den2) * _rep_weight(n, m, q)
     return total / m**0.75
 
 
@@ -98,23 +62,9 @@ def coeff_aH_chi(q: int, m: int, d: int, H: float) -> float:
     for n, h, edge in _rep_pairs(m, H):
         half = 0.5 if edge else 1.0
         if n % d == 0:
-            total += half * chi4(-h) * tau(h * inv1) * _weight(h, m, q)
+            total += half * chi4(-h) * tau(h * inv1) * _rep_weight(h, m, q)
         if h % d == 0:
-            total += half * chi4(-n) * tau(h / den2) * _weight(n, m, q)
-    return 2.0 * total / m**0.75
-
-
-def coeff_bH_star(q: int, m: int, d: int, H: float) -> float:
-    """Sign-twisted tau_star coefficient entering the odd-q majorant sum."""
-    inv1 = 1.0 / (math.floor(H) + 1)
-    den2 = d * (math.floor(H / d) + 1)
-    total = 0.0
-    for n, h, edge in _rep_pairs(m, H):
-        half = 0.5 if edge else 1.0
-        if n % d == 0:
-            total += half * lam(h) * tau_star(h * inv1) * _weight(h, m, q)
-        if h % d == 0 and n % 4 == 0:
-            total += 2.0 * half * tau_star(h / den2) * _weight(n, m, q)
+            total += half * chi4(-n) * tau(h / den2) * _rep_weight(n, m, q)
     return 2.0 * total / m**0.75
 
 
@@ -140,16 +90,22 @@ class VoronoiCoefficients:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         out = np.zeros_like(x)
         x2 = x * x
-        chunk = max(1, int(4e6 / max(len(self.freq), 1)))
-        for lo in range(0, len(x), chunk):
-            sl = slice(lo, lo + chunk)
-            arg = 2 * math.pi * self.freq[:, None] * x2[sl][None, :] - QUARTER
-            vals = np.where(self.is_cos[:, None], np.cos(arg), np.sin(arg))
-            out[sl] = self.coef @ vals
+        for is_cos in (False, True):
+            sel = self.is_cos == is_cos
+            freq, coef = self.freq[sel], self.coef[sel]
+            chunk = max(1, int(4e6 / max(len(freq), 1)))
+            for lo in range(0, len(x), chunk):
+                out[lo : lo + chunk] += _phase_sum(freq, coef, is_cos, x2[lo : lo + chunk])
         return out
 
 
-def _sum1_arrays(d: int, H: float, q: int, kernel, twist=None):
+def _phase_sum(freq: np.ndarray, coef: np.ndarray, is_cos: bool, x2: np.ndarray) -> np.ndarray:
+    """Sum of coef * sin(2 pi freq x^2 - pi/4), or cosines, at each x^2."""
+    arg = 2 * math.pi * freq[:, None] * x2[None, :] - QUARTER
+    return coef @ (np.cos(arg) if is_cos else np.sin(arg))
+
+
+def _sum1_arrays(d: int, H: float, q: int, twist=None):
     """Terms of the first inner sum (n = 0 mod d) for one modulus d."""
     h_max = math.floor(H)
     inv1 = 1.0 / (h_max + 1)
@@ -159,7 +115,7 @@ def _sum1_arrays(d: int, H: float, q: int, kernel, twist=None):
         h = np.arange(max(n, 1), h_max + 1, dtype=np.int64)
         if len(h):
             m = n * n + h * h
-            w = (h * h / m) ** ((q - 1) / 2) * kernel(h * inv1)
+            w = _rep_weight(h, m, q) * _tau_np(h * inv1)
             half = np.where((n == 0) | (h == n), 0.5, 1.0)
             t = w * half
             if twist is not None:
@@ -169,16 +125,15 @@ def _sum1_arrays(d: int, H: float, q: int, kernel, twist=None):
     return rows
 
 
-def _sum2_arrays(d: int, H: float, q: int, kernel, twist=None, n_mod4=False):
+def _sum2_arrays(d: int, H: float, q: int, twist=None):
     """Terms of the second inner sum (h = 0 mod d) for one modulus d."""
     den2 = d * (math.floor(H / d) + 1)
     rows = []
     h = d
     while h <= H:
-        step = 4 if n_mod4 else 1
-        n = np.arange(0, h + 1, step, dtype=np.int64)
+        n = np.arange(0, h + 1, dtype=np.int64)
         m = n * n + h * h
-        w = (n * n / m) ** ((q - 1) / 2) * kernel(np.full(len(n), h / den2))
+        w = _rep_weight(n, m, q) * _tau_np(np.full(len(n), h / den2))
         half = np.where((n == 0) | (n == h), 0.5, 1.0)
         t = w * half
         if twist is not None:
@@ -198,15 +153,6 @@ def _tau_np(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tau_star_np(t: np.ndarray) -> np.ndarray:
-    return t * (1 - t)
-
-
-def _chi4_np(v: np.ndarray) -> np.ndarray:
-    r = np.mod(v, 4)
-    return np.where(r == 1, 1.0, np.where(r == 3, -1.0, 0.0))
-
-
 def iter_S_rows(q: int, H: float):
     """Yield (freq, coef, is_cos) row batches of the S_{q,H} term list.
 
@@ -218,28 +164,26 @@ def iter_S_rows(q: int, H: float):
         amp = 2 * rho_q(q)
         for d in range(1, d_max + 1):
             pref = amp * xi(d, q) / d ** (q - 1.5)
-            for m, t in _sum1_arrays(d, H, q, _tau_np) + _sum2_arrays(d, H, q, _tau_np):
+            for m, t in _sum1_arrays(d, H, q) + _sum2_arrays(d, H, q):
                 if len(m):
                     yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, False
     else:
         ampc = rho_chi_q(q)
         sin_amp = 2**q * ampc
         cos_amp = (-1) ** ((q - 1) // 2) * 2 ** (2 * q - 1) * ampc
-        chi_h = lambda a, b: _chi4_np(a)
-        chi_n = lambda a, b: _chi4_np(-a)
+        chi_h = lambda a, b: _chi4_array(a)
+        chi_n = lambda a, b: _chi4_array(-a)
         for d in range(1, d_max + 1):
             cd = chi4(d)
             if cd:
                 pref = sin_amp * cd / d ** (q - 1.5)
-                for m, t in _sum1_arrays(d, H, q, _tau_np) + _sum2_arrays(d, H, q, _tau_np):
+                for m, t in _sum1_arrays(d, H, q) + _sum2_arrays(d, H, q):
                     if len(m):
                         yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, False
             if d % 4 == 0:
                 # factor 2 from the twisted coefficient definition
                 pref = cos_amp * 2.0 / d ** (q - 1.5)
-                rows = _sum1_arrays(d, H, q, _tau_np, twist=chi_h) + _sum2_arrays(
-                    d, H, q, _tau_np, twist=chi_n
-                )
+                rows = _sum1_arrays(d, H, q, twist=chi_h) + _sum2_arrays(d, H, q, twist=chi_n)
                 for m, t in rows:
                     if len(m):
                         yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, True
@@ -274,67 +218,12 @@ def eval_S_streaming(q: int, H: float, x: np.ndarray) -> np.ndarray:
     x2 = x * x
     out = np.zeros_like(x)
     for freq, coef, is_cos in iter_S_rows(q, H):
-        arg = 2 * math.pi * freq[:, None] * x2[None, :] - QUARTER
-        vals = np.cos(arg) if is_cos else np.sin(arg)
-        out += coef @ vals
+        out += _phase_sum(freq, coef, is_cos, x2)
     return out
 
 
-def build_S_star_terms(q: int, H: float) -> VoronoiCoefficients:
-    """Term list of the majorant sum S*_{q,H} (all cosine phases)."""
-    d_max = math.isqrt(math.floor(H))
-    freqs, coefs = [], []
-
-    def push(rows, d, pref):
-        for m, t in rows:
-            if not len(m):
-                continue
-            freqs.append(np.sqrt(m.astype(np.float64)) / d)
-            coefs.append(pref * t / m**0.75)
-
-    if q % 2 == 0:
-        amp = 2 * rho_q(q)
-        for d in range(1, d_max + 1):
-            pref = amp * abs(xi(d, q)) / d ** (q - 1.5)
-            push(_sum1_arrays(d, H, q, _tau_star_np), d, pref)
-            push(_sum2_arrays(d, H, q, _tau_star_np), d, pref)
-    else:
-        amp = 2 * rho_chi_q(q)
-        lam_h = lambda a, b: np.array([lam(int(v)) for v in a])
-        for d in range(1, d_max + 1):
-            base = amp / d ** (q - 1.5)
-            pref = base * 2 ** (q - 1)
-            push(_sum1_arrays(d, H, q, _tau_star_np), d, pref)
-            push(_sum2_arrays(d, H, q, _tau_star_np), d, pref)
-            if d % 4 == 0:
-                # b*-part: factor 2 prefactor, lambda(h) twist in sum1,
-                # n = 0 mod 4 with an extra factor 2 in sum2
-                prefb = base * 2 ** (2 * q - 2) * 2.0
-                push(_sum1_arrays(d, H, q, _tau_star_np, twist=lam_h), d, prefb)
-                rows = _sum2_arrays(d, H, q, _tau_star_np, n_mod4=True)
-                push([(m, 2.0 * t) for m, t in rows], d, prefb)
-    freq = np.concatenate(freqs) if freqs else np.zeros(0)
-    coef = np.concatenate(coefs) if coefs else np.zeros(0)
-    keep = coef != 0.0
-    return VoronoiCoefficients(
-        q=q, H=H, freq=freq[keep], coef=coef[keep], is_cos=np.ones(int(keep.sum()), dtype=bool)
-    )
-
-
-def eval_S_qH(q: int, H: float, x, terms: VoronoiCoefficients | None = None) -> np.ndarray:
-    if terms is None:
-        terms = build_S_terms(q, H)
-    return terms.evaluate(x)
-
-
-def eval_S_star_qH(q: int, H: float, x, terms: VoronoiCoefficients | None = None) -> np.ndarray:
-    if terms is None:
-        terms = build_S_star_terms(q, H)
-    return terms.evaluate(x)
-
-
 def eval_T_sums(q: int, H: float, x) -> dict[str, np.ndarray]:
-    """The three short q=3 tail sums over moduli d > sqrt(H)."""
+    """The two short q=3 tail sums over moduli d > sqrt(H)."""
     if q % 2 == 0:
         raise ValueError("the tail sums are defined for odd q (used at q = 3)")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -342,14 +231,12 @@ def eval_T_sums(q: int, H: float, x) -> dict[str, np.ndarray]:
     ampc = rho_chi_q(q)
     t_chi = np.zeros_like(x)
     t_chi_upper = np.zeros_like(x)
-    t_star = np.zeros_like(x)
     d = math.isqrt(math.floor(H)) + 1
     while d <= H:
         h_top = math.floor(H / d)
         kern_den = h_top + 1
         for h in range(1, h_top + 1):
             k = tau(h / kern_den) / (d ** (q - 1.5) * h**1.5)
-            ks = tau_star(h / kern_den) / (d ** (q - 1.5) * h**1.5)
             arg = 2 * math.pi * (h / d) * x2 - QUARTER
             cd = chi4(d)
             if cd:
@@ -359,10 +246,8 @@ def eval_T_sums(q: int, H: float, x) -> dict[str, np.ndarray]:
                 if ch:
                     sign = (-1) ** ((q + 1) // 2)
                     t_chi_upper += sign * 2 ** (2 * q - 1) * ampc * ch * k * np.cos(arg)
-            lstar = 2 ** (q - 2) + (4 ** (q - 1) * lam(h) if d % 4 == 0 else 0)
-            t_star += 2 * ampc * lstar * ks * np.cos(arg)
         d += 1
-    return {"t_chi": t_chi, "t_chi_upper": t_chi_upper, "t_star": t_star}
+    return {"t_chi": t_chi, "t_chi_upper": t_chi_upper}
 
 
 def mean_square_gap(

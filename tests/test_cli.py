@@ -1,9 +1,11 @@
 """Command line interface: exit codes, output formats, config handling."""
 
 import json
+import struct
 
 import pytest
 
+from heislat.arithmetic import CACHE_MAGIC, load_tables
 from heislat.cli import run
 
 
@@ -87,6 +89,29 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert run(["count", "--q", "3", "--x", "2", "--cache", cache]) == 0
     assert capsys.readouterr().out.strip() == first
     assert list((tmp_path / "cache").glob("shells_*.bin"))
+
+
+@pytest.mark.parametrize("damage", ["magic-only", "short-body", "other-q"])
+def test_cache_rebuilds_bad_file(tmp_path, capsys, damage):
+    assert run(["count", "--q", "3", "--x", "2"]) == 0
+    expect = capsys.readouterr().out.strip()
+    cache = tmp_path / "cache"
+    argv = ["count", "--q", "3", "--x", "2", "--cache", str(cache)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    (path,) = cache.glob("shells_*.bin")
+    good = path.read_bytes()
+    if damage == "magic-only":
+        path.write_bytes(CACHE_MAGIC)
+    elif damage == "short-body":
+        path.write_bytes(good[:-8])
+    else:
+        path.write_bytes(CACHE_MAGIC + struct.pack("<q", 4) + good[len(CACHE_MAGIC) + 8 :])
+    assert run(argv) == 0
+    assert capsys.readouterr().out.strip() == expect
+    tables = load_tables(path)
+    assert (tables.q, tables.limit) == (3, 4)
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_config_fills_defaults(tmp_path, capsys):

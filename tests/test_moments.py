@@ -7,7 +7,6 @@ from heislat.moments import (
     q2_closed,
     q_analytic,
     q_ergodic,
-    q_moment,
     third_moment_sum,
     variance_series,
 )
@@ -40,11 +39,6 @@ def test_second_moment_ergodic_consistent():
     assert abs(c.value - e.value) <= c.error + e.error
 
 
-def test_q_moment_dispatch():
-    assert q_moment(3, 1, 2).method == q2_closed(3, 1).method
-    assert q_moment(3, 1, 3).method == q_analytic(3, 1, 3).method
-
-
 def test_second_moments_positive_errors_finite():
     for q in (3, 4):
         for m in (1, 2, 5, 13):
@@ -63,6 +57,8 @@ def test_variance_series_value():
     mv = variance_series(3)
     assert mv.value == pytest.approx(53.88, abs=0.5)
     assert mv.error < mv.value * 0.1
+    with pytest.raises(ValueError):
+        variance_series(3, d_max=0)
 
 
 def test_variance_series_dominates_partial_sums():

@@ -9,7 +9,6 @@ from heislat.phi import (
     build_phi,
     component_vanishes,
     partial_sum_phi,
-    phi_value,
     sup_bound,
     tail_bound_for,
 )
@@ -64,12 +63,6 @@ def test_grid_values_requires_multiple_of_period():
     trunc = build_phi(3, 1, 4, 8)
     with pytest.raises(ValueError):
         trunc.grid_values(trunc.period * 16 + 1)
-
-
-def test_phi_value_wrapper():
-    t = np.array([0.3, 1.7])
-    direct = build_phi(3, 2, 32, 32)(t)
-    assert np.allclose(phi_value(3, 2, t, 32, 32), direct)
 
 
 def test_truncation_converges_in_d():
