@@ -290,8 +290,9 @@ def build_r2q_prefix(q: int, limit: int) -> ArithTables:
         if peak * (2 * amax + 1) >= INT64_SAFE:
             raise BudgetError("shell counts would overflow int64 at this limit")
         nxt = counts.copy()
+        two = 2 * counts
         for a in range(1, amax + 1):
-            nxt[a * a :] += 2 * counts[: limit + 1 - a * a]
+            nxt[a * a :] += two[: limit + 1 - a * a]
         counts = nxt
     # exact prefix sum: split into high/low words to avoid int64 overflow
     prefix_obj = _exact_cumsum(counts)

@@ -126,40 +126,32 @@ def normalized_error(q: int, tables: ArithTables | None = None, x=None, x2=None,
     return (n - main) / xf ** (2 * q - 1)
 
 
-def _isqrt_vector(v: np.ndarray) -> np.ndarray:
-    """Elementwise integer sqrt of nonnegative int64 values."""
-    t = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    # correct the float estimate; a few rounds always suffice at this scale
-    for _ in range(64):
-        over = t * t > v
-        under = (t + 1) * (t + 1) <= v
-        if not over.any() and not under.any():
-            break
-        t = np.where(over, t - 1, t)
-        t = np.where(under, t + 1, t)
-    return t
-
-
 def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> int:
-    """Exact count for x = x_num/x_den via vectorized int64 arithmetic.
+    """Exact count for x = x_num/x_den in one folded, blocked float64 pass.
 
-    Falls back on a budget error when intermediates could overflow; the
-    caller may then use count_points, which runs on Python integers.
+    floor(sqrt(x^4 - w^2)) = isqrt(P0 - w^2) with P0 = floor(x^4).  Below
+    2^52 each float root t of s = P0 - w^2 is certified by t^2 <= s < (t+1)^2,
+    exactly in float64.  BudgetError when P0 >= 2^52, the tables stop short
+    of isqrt(P0) or a certificate fails; count_points runs on Python integers.
     """
-    p = x_num**4
-    den4 = x_den**4
-    den2 = x_den**2
-    if p >= 2**62 or p * 2 >= 2**62:
-        raise BudgetError("x too large for the vectorized counting path")
-    wmax = math.isqrt(p // den4)
-    w = np.arange(-wmax, wmax + 1, dtype=np.int64)
-    rem = np.int64(p) - w * w * np.int64(den4)  # den4 * (x^4 - w^2)
-    t = _isqrt_vector(rem) // den2  # floor(sqrt(x^4 - w^2))
-    if int(t.max(initial=0)) > tables.limit:
+    p0 = x_num**4 // x_den**4
+    if p0 >= 2**52:
+        raise BudgetError("x^4 too large for the float64 counting path")
+    wmax = math.isqrt(p0)
+    if wmax > tables.limit:
         raise BudgetError("tables too small for the requested dilation")
-    vals = tables.prefix[t]
-    hi, lo = np.divmod(vals, np.int64(2**32))
-    return int(hi.sum(dtype=np.int64)) * 2**32 + int(lo.sum(dtype=np.int64))
+    hi = lo = 0
+    for start in range(0, wmax + 1, 2**16):  # w >= 0; w and -w fold below
+        s = np.arange(start, min(start + 2**16, wmax + 1), dtype=np.float64)
+        np.subtract(p0, s * s, out=s)
+        t = np.floor(np.sqrt(s))
+        r = s - t * t - t  # t = isqrt(s) iff 0 <= s - t^2 <= 2t
+        if not (np.abs(r, out=r) <= t).all():
+            raise BudgetError("float64 square root failed its certificate")
+        vals = tables.prefix[t.astype(np.int64)]
+        hi += int((vals >> 32).sum())
+        lo += int((vals & 0xFFFFFFFF).sum())
+    return 2 * (hi * 2**32 + lo) - int(tables.prefix[wmax])
 
 
 def _is_prime(n: int) -> bool:
@@ -176,17 +168,18 @@ def sample_normalized_errors(
     span = x_hi - x_lo
     if span < 1:
         raise ValueError("need x_hi > x_lo")
-    # keep numerators inside the int64 budget of the fast path: sample on a
-    # lattice of spacing 1/den, with den the largest prime the budget allows
-    # (a prime spacing avoids resonating with small-denominator frequencies
-    # of the almost periodic error)
+    # sample on a lattice of spacing 1/den, with den the largest prime such
+    # that 2 (x_hi den)^4 < 2^62 (a prime spacing avoids resonating with
+    # small-denominator frequencies of the almost periodic error).  The rule
+    # defines the grid and is kept so that samples stay reproducible; the
+    # counting kernel itself needs only floor(x^4) < 2^52.
     den_need = -(-(n_samples - 1) // span)
     den_max = 1
     while (x_hi * (den_max + 1)) ** 4 * 2 < 2**62:
         den_max += 1
     den = next((d for d in range(den_max, 1, -1) if _is_prime(d)), den_max)
     if den < den_need:
-        raise BudgetError("sample grid too fine for the vectorized counting path")
+        raise BudgetError("more samples than points on the 1/den grid")
     vol = volume_unit_ball(q)
     xs = np.empty(n_samples)
     errs = np.empty(n_samples)

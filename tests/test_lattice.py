@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from heislat.arithmetic import BudgetError, build_r2q_prefix
 from heislat.lattice import (
     count_points,
     count_points_bruteforce,
@@ -66,10 +67,28 @@ def test_normalized_error_definition(tables_q3_small):
 
 
 def test_count_fast_matches_scalar(tables_q3_small):
-    for num, den in [(1, 1), (3, 2), (5, 4), (13, 10), (6, 1)]:
+    # integer x^4 (P0 - w^2 runs through perfect squares), floor(x^4) with
+    # den > 1, and num^4 >= 2^62 with x^4 small
+    for num, den in [(1, 1), (3, 2), (5, 4), (13, 10), (6, 1), (25, 1), (301, 7), (1201, 61), (46349, 7919)]:
         fast = count_points_fast(3, tables_q3_small, num, den)
         slow = count_points(3, tables_q3_small, x=Fraction(num, den))
         assert fast == slow
+
+
+@pytest.mark.parametrize("num, den", [(300, 1), (18301, 61)])
+def test_count_fast_matches_scalar_multi_block(num, den):
+    # x^2 > 2^16, so the folded w-range spans more than one block
+    tables = build_r2q_prefix(3, 301**2)
+    assert count_points_fast(3, tables, num, den) == count_points(3, tables, x=Fraction(num, den))
+
+
+def test_count_fast_budgets(tables_q3_small):
+    with pytest.raises(BudgetError, match="x\\^4"):
+        count_points_fast(3, tables_q3_small, 8192, 1)  # floor(x^4) = 2^52
+    with pytest.raises(BudgetError, match="tables"):
+        count_points_fast(3, tables_q3_small, 8191, 1)
+    with pytest.raises(BudgetError, match="tables"):
+        count_points_fast(3, tables_q3_small, 45, 1)  # x^2 = 2025 > 2000
 
 
 def test_sample_normalized_errors(tables_q3_small):

@@ -1,6 +1,7 @@
 """Property-based invariants over randomized inputs."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from heislat.arithmetic import (
     r2_weighted_chi,
     two_square_reps,
 )
+from heislat.lattice import count_points, count_points_fast
 from heislat.moments import q2_closed
 from heislat.phi import build_phi, component_vanishes
 
@@ -82,3 +84,11 @@ def test_phi_periodic(m, t, q):
     trunc = build_phi(q, m, 6, 16)
     a, b = float(trunc(t)), float(trunc(t + trunc.period))
     assert math.isclose(a, b, rel_tol=1e-7, abs_tol=1e-7)
+
+
+@given(x=st.integers(1, 60).flatmap(lambda den: st.tuples(st.integers(0, 44 * den), st.just(den))))
+@settings(max_examples=200, deadline=None)
+def test_count_fast_matches_count_points(tables_q3_small, x):
+    # x = num/den <= 44, inside the tables' radius^2 2000
+    num, den = x
+    assert count_points_fast(3, tables_q3_small, num, den) == count_points(3, tables_q3_small, x=Fraction(num, den))
