@@ -35,10 +35,12 @@ from .lattice import (
 from .moments import MomentValue, density_moment, q2_closed, q_analytic, q_ergodic, third_moment_sum, variance_series
 from .phi import PhiTruncation, build_phi, partial_sum_phi, tail_bound_for
 from .voronoi import (
+    GapReport,
     VoronoiCoefficients,
     build_S_terms,
     coeff_aH,
     eval_T_sums,
+    gap_report,
     mean_square_gap,
     tau,
 )

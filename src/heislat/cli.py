@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .empirical import component_sum_l2_gap, sample_errors
 from .lattice import as_fraction, count_points, normalized_error, volume_unit_ball
 from .moments import density_moment, q2_closed, q_analytic, q_ergodic
 from .phi import build_phi, partial_sum_phi
-from .voronoi import mean_square_gap
+from .voronoi import gap_report
 
 SCHEMA_VERSION = 1
 
@@ -217,8 +218,8 @@ def _dispatch(args) -> int:
     if cmd == "voronoi-gap":
         limit = (2 * args.X) ** 2
         tables = shell_tables(args.q, limit, args.cache)
-        gap = mean_square_gap(args.q, tables, args.X, args.samples, args.H)
-        _emit({"schema": SCHEMA_VERSION, "X": args.X, "gap": gap}, args.out)
+        rep = gap_report(args.q, tables, args.X, args.samples, args.H)
+        _emit({"schema": SCHEMA_VERSION, "q": args.q, "X": args.X, **asdict(rep)}, args.out)
         return 0
     if cmd == "phi":
         trunc = build_phi(args.q, args.m, args.D, args.K)

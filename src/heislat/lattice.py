@@ -19,11 +19,13 @@ from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
 
 @dataclass
 class ErrorSample:
-    """Normalized error samples on a grid of dilation parameters."""
+    """Normalized error samples at the dilations x = num / den."""
 
     q: int
     x: np.ndarray
     err: np.ndarray
+    num: np.ndarray
+    den: int
 
 
 def as_fraction(x) -> Fraction:
@@ -181,15 +183,16 @@ def sample_normalized_errors(
     if den < den_need:
         raise BudgetError("more samples than points on the 1/den grid")
     vol = volume_unit_ball(q)
+    nums = np.empty(n_samples, dtype=np.int64)
     xs = np.empty(n_samples)
     errs = np.empty(n_samples)
     slots = span * den
     for i in range(n_samples):
         j = round(i * slots / (n_samples - 1))
-        num = x_lo * den + j
+        num = nums[i] = x_lo * den + j
         g = math.gcd(num, den)
         cnt = count_points_fast(q, tables, num // g, den // g)
         xf = num / den
         xs[i] = xf
         errs[i] = (cnt - vol * xf ** (2 * q + 2)) / xf ** (2 * q - 1)
-    return ErrorSample(q=q, x=xs, err=errs)
+    return ErrorSample(q=q, x=xs, err=errs, num=nums, den=den)

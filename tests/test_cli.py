@@ -68,6 +68,14 @@ def test_moments_routes_agree(capsys):
     assert abs(analytic["value"] - closed["value"]) <= combined
 
 
+def test_voronoi_gap_json_provenance(capsys):
+    assert run(["voronoi-gap", "--q", "3", "--X", "6", "--samples", "12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["X"] == 6 and payload["H"] == 18.0 and payload["samples"] == 12
+    assert payload["den"] > 1 and payload["terms"] > 0
+    assert 0 <= payload["gap"] < 10.0
+
+
 def test_phi_csv(capsys):
     assert run(["phi", "--q", "3", "--m", "2", "--t", "0.0", "1.0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,17 +1,24 @@
 """Truncated trigonometric approximation of the normalized error."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from heislat.arithmetic import chi4, rho_chi_q, rho_q, xi
+from heislat.arithmetic import build_r2q_prefix, chi4, rho_chi_q, rho_q, xi
+from heislat.lattice import sample_normalized_errors
 from heislat.voronoi import (
+    _CHIRP_BLOCK,
+    _T_rows,
+    _chirp_sum,
+    _phase_sum,
     build_S_terms,
     coeff_aH,
     coeff_aH_chi,
     eval_S_streaming,
     eval_T_sums,
+    gap_report,
     iter_S_rows,
     mean_square_gap,
     tau,
@@ -101,7 +108,81 @@ def test_t_sums_keys_and_finiteness():
         assert np.all(np.isfinite(v))
 
 
+def test_t_sums_match_scalar_loop():
+    # inline scalar double loop over (d, h), the definition of the two tails
+    q, H = 3, 50.0
+    x = np.array([1.7, 3.0, 6.25, 9.9])
+    ampc = rho_chi_q(q)
+    want_chi = np.zeros_like(x)
+    want_upper = np.zeros_like(x)
+    for d in range(math.isqrt(int(H)) + 1, int(H) + 1):
+        h_top = int(H // d)
+        for h in range(1, h_top + 1):
+            k = tau(h / (h_top + 1)) / (d ** (q - 1.5) * h**1.5)
+            arg = 2 * math.pi * (h / d) * x * x - math.pi / 4
+            want_chi += 2 ** (q - 1) * ampc * chi4(d) * k * np.sin(arg)
+            if d % 4 == 0:
+                want_upper += (-1) ** ((q + 1) // 2) * 2 ** (2 * q - 1) * ampc * chi4(h) * k * np.cos(arg)
+    got = eval_T_sums(q, H, x)
+    assert np.max(np.abs(got["t_chi"] - want_chi)) <= 1e-12 * (1 + np.max(np.abs(want_chi)))
+    assert np.max(np.abs(got["t_chi_upper"] - want_upper)) <= 1e-12 * (1 + np.max(np.abs(want_upper)))
+    assert np.any(want_chi != 0) and np.any(want_upper != 0)
+
+
+def _chirp_against_direct(rows, num, den):
+    """Max |chirp - direct|, its tolerance and the term count, for the rows at x = num/den.
+
+    Float64 rounds a phase 2 pi f x^2 to about eps * 2 pi f x^2 rad.  The
+    direct sum rounds it once per term and sample; the recurrence adds at
+    most as much per step, so with n samples the bound is
+    eps * sum|coef| * 2 pi f_max x_max^2 * n.
+    """
+    rows = list(rows)
+    num = np.asarray(num)
+    x = num / den
+    want = sum(_phase_sum(f, c, ic, x * x) for f, c, ic in rows)
+    got, terms = _chirp_sum(iter(rows), num, den)
+    assert terms == sum(int(np.count_nonzero(c)) for _, c, _ in rows)
+    abs_coef = sum(float(np.sum(np.abs(c))) for _, c, _ in rows)
+    f_max = max(float(np.max(f)) for f, _, _ in rows)
+    tol = np.finfo(float).eps * abs_coef * 2 * math.pi * f_max * float(np.max(x * x)) * len(num)
+    return float(np.max(np.abs(got - want))), tol, terms
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("X", [10, 24])
+def test_chirp_matches_direct_on_sampler_grid(q, X):
+    tables = build_r2q_prefix(q, (2 * X) ** 2)
+    series = sample_normalized_errors(q, tables, X, 2 * X, 96)
+    assert np.array_equal(series.x, series.num / series.den)
+    H = X * X / 2
+    rows = itertools.chain(iter_S_rows(q, H), _T_rows(q, H) if q == 3 else ())
+    diff, tol, _ = _chirp_against_direct(rows, series.num, series.den)
+    assert diff <= tol, (diff, tol)
+
+
+@pytest.mark.parametrize(
+    "q, H, num, den, min_terms",
+    [
+        (4, 40.0, np.cumsum([1000, 3, 7, 1, 7, -2, 3, 3, 1, -2, 7]), 97, 0),
+        (3, 40.0, [500, 777], 101, 0),
+        (3, 200.0, 17 * 401 + np.array([0, 40, 81, 121, 162, 202, 243]), 401, 3 * _CHIRP_BLOCK),
+    ],
+    ids=["four-steps-one-negative", "two-points", "several-blocks"],
+)
+def test_chirp_matches_direct_on_synthetic_grid(q, H, num, den, min_terms):
+    diff, tol, terms = _chirp_against_direct(iter_S_rows(q, H), num, den)
+    assert diff <= tol, (diff, tol)
+    assert terms > min_terms
+
+
 def test_mean_square_gap_small_scale(tables_q3):
     # crude sanity at small X: the truncation leaves only a modest residual
     gap = mean_square_gap(3, tables_q3, 10, n_samples=40)
     assert 0 <= gap < 10.0
+    # the report behind it records what the gap was computed from
+    rep = gap_report(3, tables_q3, 10, n_samples=40)
+    series = sample_normalized_errors(3, tables_q3, 10, 20, 40)
+    rows = itertools.chain(iter_S_rows(3, 50.0), _T_rows(3, 50.0))
+    assert (rep.gap, rep.H, rep.samples, rep.den) == (gap, 50.0, 40, series.den)
+    assert rep.terms == sum(int(np.count_nonzero(c)) for _, c, _ in rows)
