@@ -53,10 +53,6 @@ def empirical_lambda_moment(series: SampleSeries, lam: float) -> float:
     return float(np.mean(np.abs(series.err) ** lam))
 
 
-def empirical_moment(series: SampleSeries, j: int) -> float:
-    return float(np.mean(series.err**j))
-
-
 def ks_distance(series: SampleSeries, grid: DensityGrid) -> float:
     """Kolmogorov-Smirnov distance between samples and a gridded density."""
     cdf = cdf_and_moments(grid)["cdf"]
@@ -103,8 +99,3 @@ def component_sum_l2_gap(
         approx = partial_sum_phi(q, M, series.x, d_max, k_max)
         gaps[M] = float(np.mean((series.err - approx) ** 2))
     return gaps
-
-
-def error_histogram(series: SampleSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Freedman-Diaconis histogram (densities, bin edges)."""
-    return np.histogram(series.err, bins="fd", density=True)

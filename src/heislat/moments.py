@@ -1,9 +1,12 @@
 """Integral moments of the almost periodic components and of the density.
 
 Q(m, l) denotes the mean of phi_m^l over long intervals.  Three routes are
-implemented: an exact enumeration of the resonating frequency tuples from
-the analytic moment formula, a closed-form double series for l = 2, and
-ergodic averaging of the truncated component over one exact period.
+implemented: the analytic moment formula, whose sum over resonating
+frequency tuples is the zero bin of an l-fold convolution of one exact
+frequency spectrum; a closed-form double series for l = 2; and ergodic
+averaging of the truncated component over one exact period.  The moments
+of the limiting density follow from the Q(m, l) by one cumulant ledger:
+the components are independent, so their cumulants add.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .arithmetic import (
     two_square_reps,
     zeta_value,
 )
-from .phi import build_phi, component_vanishes
+from .phi import _reps_cached, build_phi, component_vanishes
 
 
 @dataclass
@@ -52,7 +55,7 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple:
         for k in range(1, k_max + 1):
             if math.gcd(k, d) != 1:
                 continue
-            val = frak_r(m * k * k, d, q, two_square_reps(m * k * k))
+            val = frak_r(m * k * k, d, q, _reps_cached(m * k * k))
             if val:
                 items.append((d, k, val))
     return tuple(items)
@@ -67,13 +70,22 @@ def q_analytic(
     budget: int = 4_000_000,
     _estimate_error: bool = True,
 ) -> MomentValue:
-    """Q(m, l) by enumerating resonating tuples of the moment formula.
+    """Q(m, l) from the analytic moment formula, as one spectrum convolution.
 
-    Tuples (d_i, k_i) with signs e_i satisfy the exact rational constraint
-    sum e_i eps(d_i) k_i / d_i = 0; the first l-1 items run over the
-    truncation box and the last is solved for as a reduced fraction.  The
-    error estimate is coarsening-based: twice the change observed when the
-    box is halved.
+    The formula sums prod w_i cos(pi/4 sum e_i) over ordered l-tuples of box
+    items (d_i, k_i) and signs e_i = +-1 whose frequencies e_i eps(d_i) k_i/d_i
+    add up to zero exactly, with w = frak_r / (d^(q-1.5) k^1.5).  Since
+    cos(pi/4 sum e_i) = Re prod e^{i pi e_i/4}, the sum is the real part of
+    the zero bin of the l-fold convolution of the spectrum
+    spec = {e eps(d) k/d: w e^{i pi e/4}}, whose frequencies are kept as exact
+    integers in units of 1/lcm(1..d_max).  With half = spec^{*floor(l/2)},
+    the zero bin is sum_f half[f] half[-f] for even l and
+    sum_{f,g} half[f] spec[g] half[-f-g] for odd l.
+
+    budget bounds the products that one convolution step forms,
+    len(half) * len(spec); BudgetError is raised before a step that would
+    exceed it.  The error estimate is coarsening-based: twice the change
+    observed when the box is halved.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -82,54 +94,45 @@ def q_analytic(
     if ell == 1:
         return MomentValue(0.0, 0.0, "analytic", {"exact": True})
     items = _frak_items(q, m, d_max, k_max)
-    n_items = len(items)
-    if n_items ** (ell - 1) > budget:
-        raise BudgetError(
-            f"{n_items}^{ell - 1} tuples exceed the enumeration budget {budget}"
+    unit = math.lcm(*range(1, d_max + 1))
+    spec = {}
+    for d, k, v in items:
+        w = v / (d ** (q - 1.5) * k**1.5)
+        f = eps_sign(d, q) * k * (unit // d)
+        # w (1 + ie) = sqrt(2) w e^{i pi e/4}: phase products stay exact, and
+        # the sqrt(2) factors are divided out once at the end
+        spec[f] = complex(w, w)
+        spec[-f] = complex(w, -w)
+
+    def check_budget(n_half: int) -> None:
+        if n_half * len(spec) > budget:
+            raise BudgetError(
+                f"{n_half} x {len(spec)} products exceed the convolution budget {budget}"
+            )
+
+    half = spec
+    for _ in range(ell // 2 - 1):
+        check_budget(len(half))
+        nxt: dict[int, complex] = {}
+        for f, a in half.items():
+            for g, b in spec.items():
+                nxt[f + g] = nxt.get(f + g, 0) + a * b
+        half = nxt
+    if ell % 2 == 0:
+        total = sum(a * half.get(-f, 0) for f, a in half.items())
+    else:
+        check_budget(len(half))
+        total = sum(
+            a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items()
         )
-    lookup = {(d, k): v for d, k, v in items}
-    eps = [0] + [eps_sign(d, q) for d in range(1, d_max + 1)]
-    weights = {(d, k): v / (d ** (q - 1.5) * k**1.5) for d, k, v in items}
-    cosv = [math.cos(a * math.pi / 4) for a in range(8)]
-
-    # iterate over ordered (ell-1)-tuples of items and sign vectors
-    def recurse(depth: int, esum: int, num: int, den: int, wprod: float) -> float:
-        acc = 0.0
-        if depth == ell - 1:
-            # solve the last item: e * eps(d) * k/d = -(num/den)
-            if num == 0:
-                return 0.0
-            sgn = -1 if num > 0 else 1
-            p, r = abs(num), den
-            g = math.gcd(p, r)
-            p //= g
-            r //= g
-            if r > d_max or p > k_max:
-                return 0.0
-            val = lookup.get((r, p))
-            if val is None:
-                return 0.0
-            e_last = sgn * eps[r]
-            a = (esum + e_last) % 8
-            w_last = val / (r ** (q - 1.5) * p**1.5)
-            return cosv[a] * wprod * w_last
-        for d, k, v in items:
-            w = weights[(d, k)]
-            f_num = eps[d] * k * den
-            for e in (1, -1):
-                nn = num * d + e * f_num
-                acc += recurse(depth + 1, esum + e, nn, den * d, wprod * w)
-        return acc
-
-    total = recurse(0, 0, 0, 1, 1.0)
-    value = _moment_prefactor(q, ell, m) * total
+    value = _moment_prefactor(q, ell, m) * total.real / 2 ** (ell / 2)
     err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_max >= 4 and k_max >= 4:
         coarse = q_analytic(
             q, m, ell, d_max // 2, k_max // 2, budget, _estimate_error=False
         )
         err += 2 * abs(value - coarse.value)
-    return MomentValue(value, err, "analytic", {"d_max": d_max, "k_max": k_max, "terms": n_items})
+    return MomentValue(value, err, "analytic", {"d_max": d_max, "k_max": k_max, "terms": len(items)})
 
 
 def q2_closed(
@@ -300,78 +303,68 @@ def _prime_factors(d: int) -> list[int]:
 def density_moment(
     q: int, j: int, m_max: int = 300, d_max: int = 16, k_max: int = 16
 ) -> MomentValue:
-    """j-th moment of the limiting density via the combinatorial expansion.
+    """j-th moment of the limiting density from one cumulant ledger.
 
-    Sum over compositions (l_1..l_s) of j with every part >= 2 (parts equal
-    to 1 contribute Q(m, 1) = 0) of multinomial weights times sums of
-    products of Q(m_i, l_i) over strictly increasing m-tuples.
+    The limit law is the law of sum_m phi_m with independent components, so
+    its cumulants add.  For every non-vanishing m <= m_max the moments
+    mu_l = Q(m, l) (q2_closed for l = 2, q_analytic for l >= 3, mu_1 = 0)
+    become cumulants kappa_n(m) by the moment-cumulant recursion; the sums
+    K_n = sum_m kappa_n(m) are the law's cumulants, and the same recursion
+    turns them into its moments M_j.  At j = 2 and 3, M_j = K_j =
+    sum_m Q(m, j).
+
+    Errors propagate through both recursions to first order in absolute
+    values.  Each K_n also carries an m-tail estimate: the top octave
+    m_max/2 < m <= m_max of |kappa_n(m)| as a proxy for the remainder mass
+    (the n = 2 tail decays like log(m)/sqrt(m), higher orders faster).
     """
-    if j == 0:
-        return MomentValue(1.0, 0.0, "composition", {})
-    if j == 1:
-        return MomentValue(0.0, 0.0, "composition", {"exact": True})
+    if j < 0:
+        raise ValueError("j must be >= 0")
     ms = [m for m in range(1, m_max + 1) if not component_vanishes(m)]
-    q_by_ell: dict[int, np.ndarray] = {}
-    err_by_ell: dict[int, np.ndarray] = {}
+    zeros = np.zeros(len(ms))
+    mu, dmu = [np.ones(len(ms)), zeros], [zeros, zeros]
     for ell in range(2, j + 1):
-        vals, errs = [], []
-        for m in ms:
-            mv = q2_closed(q, m, d_max=max(d_max, 24), k_max=max(k_max, 24)) if ell == 2 else q_analytic(q, m, ell, d_max, k_max)
-            vals.append(mv.value)
-            errs.append(mv.error)
-        q_by_ell[ell] = np.array(vals)
-        err_by_ell[ell] = np.array(errs)
-
-    # m-tail estimates per order: take the top octave of computed values
-    # as a proxy for the remainder mass (the l = 2 tail decays like
-    # log(m)/sqrt(m), higher orders faster)
-    abs_sums = {ell: float(np.sum(np.abs(v))) for ell, v in q_by_ell.items()}
-    tails = {}
-    for ell, v in q_by_ell.items():
-        octave = np.abs(v)[np.array(ms) > m_max // 2]
-        tails[ell] = float(np.sum(octave)) / (math.sqrt(2) - 1)
-
-    total = 0.0
-    err = 0.0
-    for comp in _compositions(j, min_part=2):
-        weight = math.factorial(j)
-        for part in comp:
-            weight //= math.factorial(part)
-        val, bnd = _increasing_product_sum(comp, q_by_ell, err_by_ell)
-        for t, ell in enumerate(comp):
-            others = 1.0
-            for u, ell2 in enumerate(comp):
-                if u != t:
-                    others *= abs_sums[ell2]
-            bnd += tails[ell] * others
-        total += weight * val
-        err += weight * bnd
-    return MomentValue(total, err, "composition", {"m_max": m_max, "j": j})
+        mvs = [
+            q2_closed(q, m, d_max=max(d_max, 24), k_max=max(k_max, 24))
+            if ell == 2
+            else q_analytic(q, m, ell, d_max, k_max)
+            for m in ms
+        ]
+        mu.append(np.array([mv.value for mv in mvs]))
+        dmu.append(np.array([mv.error for mv in mvs]))
+    kappa, dkappa = _cumulants(mu, dmu)
+    top = np.array(ms) > m_max // 2
+    K = [float(np.sum(k)) for k in kappa]
+    dK = [
+        float(np.sum(e)) + float(np.sum(np.abs(k[top]))) / (math.sqrt(2) - 1)
+        for k, e in zip(kappa, dkappa)
+    ]
+    M, dM = _moments(K, dK)
+    return MomentValue(M[j], dM[j], "cumulant", {"m_max": m_max, "j": j, "d_max": d_max, "k_max": k_max})
 
 
-def _compositions(j: int, min_part: int):
-    if j == 0:
-        yield ()
-        return
-    for first in range(min_part, j + 1):
-        for rest in _compositions(j - first, min_part):
-            yield (first,) + rest
+def _cumulants(mu: list, dmu: list) -> tuple[list, list]:
+    """Cumulants kappa_0..kappa_j (kappa_0 = 0) of raw moments mu_0..mu_j (mu_0 = 1).
+
+    kappa_n = mu_n - sum_{i<n} C(n-1, i-1) kappa_i mu_{n-i}, with the errors
+    dmu carried to first order in absolute values.  Works elementwise on
+    arrays.
+    """
+    kappa, dkappa = [0 * mu[0]], [0 * mu[0]]
+    for n in range(1, len(mu)):
+        c = {i: math.comb(n - 1, i - 1) for i in range(1, n)}
+        kappa.append(mu[n] - sum(c[i] * kappa[i] * mu[n - i] for i in c))
+        dkappa.append(
+            dmu[n] + sum(c[i] * (abs(kappa[i]) * dmu[n - i] + dkappa[i] * abs(mu[n - i])) for i in c)
+        )
+    return kappa, dkappa
 
 
-def _increasing_product_sum(comp, q_by_ell, err_by_ell) -> tuple[float, float]:
-    """Sum over m_1 < ... < m_s of prod Q(m_i, l_i), with error propagation."""
-    # prefix[i] after step t: sum over increasing tuples ending at index i
-    cur = None
-    cur_err = None
-    for t, ell in enumerate(comp):
-        v = q_by_ell[ell]
-        e = err_by_ell[ell]
-        if t == 0:
-            cur = v.copy()
-            cur_err = e.copy()
-        else:
-            prev = np.concatenate([[0.0], np.cumsum(cur)[:-1]])
-            prev_err = np.concatenate([[0.0], np.cumsum(cur_err)[:-1]])
-            cur = v * prev
-            cur_err = np.abs(v) * prev_err + e * np.abs(prev)
-    return float(np.sum(cur)), float(np.sum(cur_err))
+def _moments(K: list, dK: list) -> tuple[list, list]:
+    """Raw moments M_0..M_j of cumulants K_1..K_j: the inverse of _cumulants, with errors."""
+    M, dM = [1.0], [0.0]
+    for n in range(1, len(K)):
+        c = {i: math.comb(n - 1, i - 1) for i in range(1, n + 1)}
+        M.append(sum(c[i] * K[i] * M[n - i] for i in c))
+        dM.append(sum(c[i] * (dK[i] * abs(M[n - i]) + abs(K[i]) * dM[n - i]) for i in c))
+    return M, dM

@@ -112,16 +112,14 @@ _CHIRP_BLOCK = 4096
 def _term_blocks(rows):
     """Concatenate (freq, coef, is_cos) rows into blocks of about _CHIRP_BLOCK terms.
 
-    Zero coefficients are dropped.  Each block is (freq, coef, shift) with
-    shift = -1/8 turn for sine terms and +1/8 for cosine terms, so that every
-    term reads sin(2 pi (freq x^2 + shift)).
+    Each block is (freq, coef, shift) with shift = -1/8 turn for sine terms
+    and +1/8 for cosine terms, so that every term reads
+    sin(2 pi (freq x^2 + shift)).
     """
     block, n = [], 0
     for freq, coef, is_cos in rows:
-        keep = coef != 0.0
-        k = int(np.count_nonzero(keep))
-        block.append((freq[keep], coef[keep], np.full(k, 0.125 if is_cos else -0.125)))
-        n += k
+        block.append((freq, coef, np.full(len(coef), 0.125 if is_cos else -0.125)))
+        n += len(coef)
         if n >= _CHIRP_BLOCK:
             out = tuple(np.concatenate(parts) for parts in zip(*block))
             block, n = [], 0
@@ -140,7 +138,7 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     constant, with its phase reduced mod 1 in turns first, and complex
     multiplies from sample to sample.  Terms go in blocks of about
     _CHIRP_BLOCK, so memory stays O(block x steps^2).  Returns the sums and
-    the number of nonzero terms.
+    the number of terms.
     """
     num = np.asarray(num, dtype=np.int64)
     steps, step_idx = np.unique(np.diff(num), return_inverse=True)
@@ -233,16 +231,16 @@ def iter_S_rows(q: int, H: float):
     """Yield (freq, coef, is_cos) row batches of the S_{q,H} term list.
 
     Rows come out in ascending (d, h, n) order so that both the stored and
-    the streaming evaluation sum in a fixed order.
+    the streaming evaluation sum in a fixed order.  Only nonzero terms are
+    yielded: the n = 0 weights and the zeros of the chi4 twists are dropped.
     """
     d_max = math.isqrt(math.floor(H))
     if q % 2 == 0:
         amp = 2 * rho_q(q)
         for d in range(1, d_max + 1):
             pref = amp * xi(d, q) / d ** (q - 1.5)
-            for m, t in itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q)):
-                if len(m):
-                    yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, False
+            rows = itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q))
+            yield from _S_rows(rows, d, pref, False)
     else:
         ampc = rho_chi_q(q)
         sin_amp = 2**q * ampc
@@ -253,16 +251,22 @@ def iter_S_rows(q: int, H: float):
             cd = chi4(d)
             if cd:
                 pref = sin_amp * cd / d ** (q - 1.5)
-                for m, t in itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q)):
-                    if len(m):
-                        yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, False
+                rows = itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q))
+                yield from _S_rows(rows, d, pref, False)
             if d % 4 == 0:
                 # factor 2 from the twisted coefficient definition
                 pref = cos_amp * 2.0 / d ** (q - 1.5)
                 rows = itertools.chain(_sum1_arrays(d, H, q, twist=chi_h), _sum2_arrays(d, H, q, twist=chi_n))
-                for m, t in rows:
-                    if len(m):
-                        yield np.sqrt(m.astype(np.float64)) / d, pref * t / m**0.75, True
+                yield from _S_rows(rows, d, pref, True)
+
+
+def _S_rows(rows, d: int, pref: float, is_cos: bool):
+    """Turn (m, t) rows of modulus d into (freq, coef, is_cos) rows of their nonzero terms."""
+    for m, t in rows:
+        keep = t != 0.0
+        if keep.any():
+            m = m[keep]
+            yield np.sqrt(m.astype(np.float64)) / d, pref * t[keep] / m**0.75, is_cos
 
 
 def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
@@ -280,8 +284,7 @@ def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
         freq = np.zeros(0)
         coef = np.zeros(0)
         is_cos = np.zeros(0, dtype=bool)
-    keep = coef != 0.0
-    return VoronoiCoefficients(q=q, H=H, freq=freq[keep], coef=coef[keep], is_cos=is_cos[keep])
+    return VoronoiCoefficients(q=q, H=H, freq=freq, coef=coef, is_cos=is_cos)
 
 
 def eval_S_streaming(q: int, H: float, x: np.ndarray) -> np.ndarray:
@@ -302,7 +305,8 @@ def _T_rows(q: int, H: float):
     """Yield (freq, coef, is_cos) rows of the two q=3 tail sums, one d at a time.
 
     Sine rows belong to t_chi and cosine rows to t_chi_upper; frequencies
-    are h/d over moduli sqrt(H) < d <= H and 1 <= h <= H/d.
+    are h/d over moduli sqrt(H) < d <= H and 1 <= h <= H/d.  Cosine rows
+    keep odd h only, where chi4(h) is nonzero.
     """
     ampc = rho_chi_q(q)
     sin_amp = 2 ** (q - 1) * ampc
@@ -315,7 +319,8 @@ def _T_rows(q: int, H: float):
         if cd:
             yield h / d, sin_amp * cd * k, False
         if d % 4 == 0:
-            yield h / d, cos_amp * _chi4_array(h) * k, True
+            odd = h % 2 == 1
+            yield h[odd] / d, cos_amp * _chi4_array(h[odd]) * k[odd], True
 
 
 def eval_T_sums(q: int, H: float, x) -> dict[str, np.ndarray]:
@@ -354,8 +359,7 @@ def gap_report(
     With H = X^2/2 this is the quantity that decays like X^-2 log^4 X.
     For q = 3 the two short tail sums are part of the decomposition and
     are subtracted as well when include_tails is set.  The sums run on the
-    sampler's grid x = num/den by _chirp_sum; terms counts their nonzero
-    terms.
+    sampler's grid x = num/den by _chirp_sum; terms counts their terms.
     """
     if H is None:
         H = X * X / 2

@@ -68,6 +68,16 @@ def test_moments_routes_agree(capsys):
     assert abs(analytic["value"] - closed["value"]) <= combined
 
 
+def test_density_moment_json_provenance(capsys):
+    assert run(["density-moment", "--q", "3", "--j", "4", "--Mmax", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "cumulant"
+    trunc = payload["truncation"]
+    assert trunc["m_max"] == 20 and trunc["j"] == 4
+    assert trunc["d_max"] == 16 and trunc["k_max"] == 16
+    assert payload["value"] > 0 and payload["error_estimate"] > 0
+
+
 def test_voronoi_gap_json_provenance(capsys):
     assert run(["voronoi-gap", "--q", "3", "--X", "6", "--samples", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -7,8 +7,6 @@ from heislat.distribution import density
 from heislat.empirical import (
     component_sum_l2_gap,
     empirical_lambda_moment,
-    empirical_moment,
-    error_histogram,
     ks_distance,
     ks_distance_gaussian,
     sample_errors,
@@ -33,8 +31,9 @@ def test_stats_keys(series):
 
 
 def test_empirical_moments(series):
-    assert empirical_moment(series, 1) == pytest.approx(float(np.mean(series.err)))
-    assert empirical_moment(series, 2) == pytest.approx(float(np.mean(series.err**2)))
+    st = series.stats()
+    assert st["second"] == pytest.approx(float(np.mean(series.err**2)))
+    assert st["third"] == pytest.approx(float(np.mean(series.err**3)))
     assert empirical_lambda_moment(series, 1.0) == pytest.approx(
         float(np.mean(np.abs(series.err)))
     )
@@ -42,7 +41,7 @@ def test_empirical_moments(series):
 
 def test_second_moment_magnitude(series):
     # the limit variance is about 54; a finite-X sample should be in range
-    m2 = empirical_moment(series, 2)
+    m2 = series.stats()["second"]
     assert 20 < m2 < 120
 
 
@@ -56,12 +55,6 @@ def test_ks_distance_bounds(series):
 def test_ks_distance_gaussian_bounds(series):
     d = ks_distance_gaussian(series, 54.0)
     assert 0 <= d <= 1
-
-
-def test_histogram_normalized(series):
-    dens, edges = error_histogram(series)
-    assert len(edges) == len(dens) + 1
-    assert float(np.sum(dens * np.diff(edges))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_component_sum_gap_decreases(tables_q3, series):

@@ -52,10 +52,14 @@ def test_streaming_matches_materialized():
 
 
 def test_rows_cover_all_terms():
-    # the materialized list keeps exactly the nonzero streamed coefficients
+    # the rows carry only nonzero terms, and the materialized list keeps them all
+    for q in (3, 4, 5):
+        rows = list(itertools.chain(iter_S_rows(q, 30.0), _T_rows(q, 30.0) if q == 3 else ()))
+        assert all(len(c) and np.all(c != 0.0) for _, c, _ in rows)
+        if q == 3:
+            assert any(is_cos for _, _, is_cos in rows)
     terms = build_S_terms(3, 30.0)
-    n_nonzero = sum(int(np.count_nonzero(c)) for _, c, _ in iter_S_rows(3, 30.0))
-    assert n_nonzero == len(terms.freq)
+    assert sum(len(c) for _, c, _ in iter_S_rows(3, 30.0)) == len(terms.freq)
 
 
 def test_rows_match_scalar_coefficients():
