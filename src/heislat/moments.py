@@ -1,12 +1,12 @@
 """Integral moments of the almost periodic components and of the density.
 
 Q(m, l) denotes the mean of phi_m^l over long intervals.  Three routes are
-implemented: the analytic moment formula, whose sum over resonating
-frequency tuples is the zero bin of an l-fold convolution of one exact
-frequency spectrum; a closed-form double series for l = 2; and ergodic
-averaging of the truncated component over one exact period.  The moments
-of the limiting density follow from the Q(m, l) by one cumulant ledger:
-the components are independent, so their cumulants add.
+implemented: the analytic moment formula (frak_r coefficients) and the
+ergodic mean of the truncated component (its merged spectrum), which both
+take the zero bin of an l-fold convolution of an exact frequency spectrum
+(_zero_bin), and a closed-form double series for l = 2.  The moments of the
+limiting density follow from the Q(m, l) by one cumulant ledger: the
+components are independent, so their cumulants add.
 """
 
 from __future__ import annotations
@@ -61,13 +61,47 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple:
     return tuple(items)
 
 
+_BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
+
+
+def _zero_bin(spec: dict, ell: int, budget: int) -> complex:
+    """Zero bin of the ell-fold convolution of spec {integer frequency: amplitude}.
+
+    With half = spec^{*floor(l/2)} by dict convolution, the zero bin is
+    sum_f half[f] half[-f] for even l, sum_{f,g} half[f] spec[g] half[-f-g]
+    for odd l.  budget bounds the products of one convolution step,
+    len(half) * len(spec); BudgetError is raised before a step exceeds it.
+    """
+    if ell == 1:
+        return spec.get(0, 0j)
+
+    def check_budget(n_half: int) -> None:
+        if n_half * len(spec) > budget:
+            raise BudgetError(
+                f"{n_half} x {len(spec)} products exceed the convolution budget {budget}"
+            )
+
+    half = spec
+    for _ in range(ell // 2 - 1):
+        check_budget(len(half))
+        nxt: dict[int, complex] = {}
+        for f, a in half.items():
+            for g, b in spec.items():
+                nxt[f + g] = nxt.get(f + g, 0) + a * b
+        half = nxt
+    if ell % 2 == 0:
+        return sum(a * half.get(-f, 0) for f, a in half.items())
+    check_budget(len(half))
+    return sum(a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items())
+
+
 def q_analytic(
     q: int,
     m: int,
     ell: int,
     d_max: int = 16,
     k_max: int = 16,
-    budget: int = 4_000_000,
+    budget: int = _BUDGET,
     _estimate_error: bool = True,
 ) -> MomentValue:
     """Q(m, l) from the analytic moment formula, as one spectrum convolution.
@@ -78,14 +112,9 @@ def q_analytic(
     cos(pi/4 sum e_i) = Re prod e^{i pi e_i/4}, the sum is the real part of
     the zero bin of the l-fold convolution of the spectrum
     spec = {e eps(d) k/d: w e^{i pi e/4}}, whose frequencies are kept as exact
-    integers in units of 1/lcm(1..d_max).  With half = spec^{*floor(l/2)},
-    the zero bin is sum_f half[f] half[-f] for even l and
-    sum_{f,g} half[f] spec[g] half[-f-g] for odd l.
-
-    budget bounds the products that one convolution step forms,
-    len(half) * len(spec); BudgetError is raised before a step that would
-    exceed it.  The error estimate is coarsening-based: twice the change
-    observed when the box is halved.
+    integers in units of 1/lcm(1..d_max); budget is that of _zero_bin.
+    The error estimate is coarsening-based: twice the change observed when
+    the box is halved.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -103,29 +132,7 @@ def q_analytic(
         # the sqrt(2) factors are divided out once at the end
         spec[f] = complex(w, w)
         spec[-f] = complex(w, -w)
-
-    def check_budget(n_half: int) -> None:
-        if n_half * len(spec) > budget:
-            raise BudgetError(
-                f"{n_half} x {len(spec)} products exceed the convolution budget {budget}"
-            )
-
-    half = spec
-    for _ in range(ell // 2 - 1):
-        check_budget(len(half))
-        nxt: dict[int, complex] = {}
-        for f, a in half.items():
-            for g, b in spec.items():
-                nxt[f + g] = nxt.get(f + g, 0) + a * b
-        half = nxt
-    if ell % 2 == 0:
-        total = sum(a * half.get(-f, 0) for f, a in half.items())
-    else:
-        check_budget(len(half))
-        total = sum(
-            a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items()
-        )
-    value = _moment_prefactor(q, ell, m) * total.real / 2 ** (ell / 2)
+    value = _moment_prefactor(q, ell, m) * _zero_bin(spec, ell, budget).real / 2 ** (ell / 2)
     err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_max >= 4 and k_max >= 4:
         coarse = q_analytic(
@@ -173,31 +180,34 @@ def q2_closed(
 def q_ergodic(
     q: int, m: int, ell: int, d_mod: int = 8, k_max: int = 64, _estimate_error: bool = True
 ) -> MomentValue:
-    """Q(m, l) by exact-period trapezoid quadrature of phi_m^l.
+    """Q(m, l) as the mean of phi_m^l over one exact period, with no grid.
 
-    The modulus-truncated component has period P = lcm(1..d_mod); on a grid
-    of N = P * 2^s points with 2^s > l * k_max, the trapezoid rule averages
-    the trigonometric polynomial phi^l exactly.  What remains is the series
-    truncation itself, estimated by comparing against a coarser component.
+    The truncated component phi(t) = Re sum a e^{2 pi i f t}
+    (PhiTruncation.spectrum) is sum a/2 e^{2 pi i f t} + conj(a)/2 e^{-2 pi i f t},
+    so the mean of phi^l is the zero bin (_zero_bin, default budget of
+    q_analytic, so BudgetError at l >= 5 in the default box) of the l-fold
+    convolution of this two-sided spectrum, in exact units of 1/lcm(1..d_mod).
+    The error estimate adds twice the change against a coarser component.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     if component_vanishes(m):
         return MomentValue(0.0, 0.0, "ergodic", {"vanishes": True})
     trunc = build_phi(q, m, d_mod, k_max)
     P = trunc.period
-    pow2 = 1
-    while pow2 <= ell * k_max:
-        pow2 *= 2
-    n_points = P * pow2
-    vals = trunc.grid_values(n_points)
-    value = float(np.mean(vals**ell))
-    check = float(np.mean(trunc.grid_values(2 * n_points) ** ell))
-    err = abs(value - check) + 1e-12 * (1 + abs(value))
+    num, den, amp = trunc.spectrum()
+    spec = {}
+    for n, d, a in zip(num.tolist(), den.tolist(), amp.tolist()):
+        spec[n * (P // d)] = a / 2
+        spec[-n * (P // d)] = a.conjugate() / 2
+    value = _zero_bin(spec, ell, _BUDGET).real
+    err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_mod >= 4 and k_max >= 8:
         coarse = q_ergodic(
             q, m, ell, max(d_mod - 2, 2), k_max // 2, _estimate_error=False
         )
         err += 2 * abs(value - coarse.value)
-    return MomentValue(value, err, "ergodic", {"period": P, "n_points": n_points})
+    return MomentValue(value, err, "ergodic", {"period": P, "frequencies": len(num)})
 
 
 def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) -> MomentValue:
@@ -264,8 +274,9 @@ def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
         weights = W if (d % 2 or q % 2 == 0) else W_four
         np.add.at(r2d, N[sel], weights[sel])
         coprime = np.ones(n_limit + 1, dtype=bool)
-        for p in _prime_factors(d):
-            coprime[::p] = False
+        for p in range(2, d + 1):  # every divisor p > 1 of d; primes would suffice
+            if d % p == 0:
+                coprime[::p] = False
         terms = r2d[coprime] ** 2 * n[coprime] ** -1.5
         contrib = float(np.sum(terms))
         total += (1 if d % 2 else 2 ** (2 * q)) * contrib / d ** (2 * q - 3)
@@ -284,20 +295,6 @@ def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
     )
     tail_d = max(d_full - d_partial, 0.0) * sub_first
     return value, half_pref * tail_d + tail_n
-
-
-def _prime_factors(d: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            out.append(p)
-            while d % p == 0:
-                d //= p
-        p += 1
-    if d > 1:
-        out.append(d)
-    return out
 
 
 def density_moment(

@@ -3,8 +3,9 @@
 For each squarefree m free of prime factors p = 3 mod 4 there is a component
 phi_m(t): a double series over moduli d and integers k of phases
 sin/cos(2 pi (k/d) t - pi/4) weighted by representation counts of m k^2.
-Truncated at d <= d_max the component is periodic with period lcm(1..d_max),
-which makes exact-period quadrature possible downstream.
+Truncated at d <= d_max the component is a trigonometric polynomial with
+exact rational frequencies k/d and period lcm(1..d_max); its terms merge
+into one spectrum, which its evaluators and the ergodic moments read.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ def component_vanishes(m: int) -> bool:
 class PhiTruncation:
     """Term list of phi_m truncated to moduli d <= d_max and k <= k_max.
 
-    Each term is coef * sin(2 pi (k/d) t - pi/4), or cosine when is_cos.
+    Each term is coef * sin(2 pi (k/d) t - pi/4), or cosine when is_cos.  The
+    evaluators read the merged spectrum().  Arrays are read-only: build_phi
+    hands one cached object to every caller.
     """
 
     q: int
@@ -52,30 +55,50 @@ class PhiTruncation:
     d: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
     is_cos: np.ndarray = field(repr=False)
+    _spec: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def period(self) -> int:
         return math.lcm(*range(1, self.d_max + 1))
 
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct reduced frequencies num/den and merged amplitudes a.
+
+        phi(t) = Re sum a e^{2 pi i (num/den) t}, sorted by (den, num); a term
+        adds coef e^{-i pi/4}, times -i for a sine.  Terms merge on the exact
+        pair (num, den): units of 1/period overflow int64 from d_max = 43 on.
+        """
+        if self._spec is None:
+            g = np.gcd(self.k, self.d)
+            stride = self.k_max + 1
+            keys, inv = np.unique(self.d // g * stride + self.k // g, return_inverse=True)
+            den, num = np.divmod(keys, stride)
+            z = self.coef * np.exp(-1j * QUARTER) * np.where(self.is_cos, 1, -1j)
+            a = np.bincount(inv, z.real, len(keys)) + 1j * np.bincount(inv, z.imag, len(keys))
+            for arr in (num, den, a):
+                arr.setflags(write=False)
+            self._spec = (num, den, a)
+        return self._spec
+
     def __call__(self, t) -> np.ndarray:
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         out = np.zeros_like(t)
-        for k, d, c, isc in zip(self.k, self.d, self.coef, self.is_cos):
-            arg = 2 * math.pi * (k / d) * t - QUARTER
-            out += c * (np.cos(arg) if isc else np.sin(arg))
+        num, den, a = self.spectrum()
+        for f, r, ph in zip((num / den).tolist(), np.abs(a).tolist(), np.angle(a).tolist()):
+            out += r * np.cos(2 * math.pi * f * t + ph)
         return out[0] if scalar else out
 
     def grid_values(self, n_points: int) -> np.ndarray:
         """Values at t_j = j * period / n_points for j = 0..n_points-1.
 
-        n_points must be a multiple of the period; term (k, d) then sits on
-        the integer frequency bin f = k * period / d with complex amplitude
-        coef * exp(-i pi/4) (times -i for a sine), and the grid is the real
-        part of an inverse DFT of length n_points, exact for aliased bins
-        too.  It runs as r inverse FFTs of length M = n_points / r, so the
-        working memory stays O(M): samples j = c (mod r) see bin f at
-        f mod M with the phase exp(2 pi i f c / n_points).
+        n_points must be a multiple of the period; frequency num/den then
+        sits on the integer bin f = num * period / den with its amplitude
+        from spectrum(), and the grid is the real part of an inverse DFT of
+        length n_points, exact for aliased bins too.  It runs as r inverse
+        FFTs of length M = n_points / r, so the working memory stays O(M):
+        samples j = c (mod r) see bin f at f mod M with the phase
+        exp(2 pi i f c / n_points).
         """
         P = self.period
         if n_points % P:
@@ -84,9 +107,9 @@ class PhiTruncation:
         while n_points % (2 * r) == 0 and n_points // (2 * r) >= 2**15:
             r *= 2
         M = n_points // r
-        f = self.k * (P // self.d) % n_points
+        num, den, z = self.spectrum()
+        f = num * (P // den) % n_points
         bins = f % M
-        z = self.coef * np.exp(-1j * QUARTER) * np.where(self.is_cos, 1, -1j)
         out = np.empty(n_points)
         for c in range(r):
             zc = z * np.exp(2j * math.pi * (f * c % n_points) / n_points)
@@ -100,57 +123,37 @@ def _reps_cached(n: int) -> tuple:
     return tuple(two_square_reps(n))
 
 
+@lru_cache(maxsize=None)
 def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncation:
-    """Assemble the truncated term list of phi_m."""
+    """Assemble the truncated term list of phi_m, once per argument tuple."""
     if q < 3 or m < 1:
         raise ValueError("need q >= 3 and m >= 1")
     ks, ds, coefs, coss = [], [], [], []
     if not component_vanishes(m):
-        scale = 1.0 / m**0.75
-        if q % 2 == 0:
-            pref = rho_q(q) / (2 * math.pi) * scale
-            for d in range(1, d_max + 1):
-                x = xi(d, q)
-                if not x:
-                    continue
-                for k in range(1, k_max + 1):
-                    w = r2_weighted(m * k * k, d, q, list(_reps_cached(m * k * k)))
-                    if w:
-                        ks.append(k)
-                        ds.append(d)
-                        coefs.append(pref * x * w / (d ** (q - 1.5) * k**1.5))
-                        coss.append(False)
-        else:
-            pref = 2 ** (q - 2) * rho_chi_q(q) / math.pi * scale
-            sign = (-1) ** ((q + 1) // 2)
-            for d in range(1, d_max + 1):
-                cd = chi4(d)
-                if cd:
-                    for k in range(1, k_max + 1):
-                        w = r2_weighted(m * k * k, d, q, list(_reps_cached(m * k * k)))
-                        if w:
-                            ks.append(k)
-                            ds.append(d)
-                            coefs.append(pref * cd * w / (d ** (q - 1.5) * k**1.5))
-                            coss.append(False)
-                elif d % 4 == 0:
-                    for k in range(1, k_max + 1):
-                        w = r2_weighted_chi(m * k * k, d, q, list(_reps_cached(m * k * k)))
-                        if w:
-                            ks.append(k)
-                            ds.append(d)
-                            coefs.append(pref * sign * 2**q * w / (d ** (q - 1.5) * k**1.5))
-                            coss.append(True)
-    return PhiTruncation(
-        q=q,
-        m=m,
-        d_max=d_max,
-        k_max=k_max,
-        k=np.array(ks, dtype=np.int64),
-        d=np.array(ds, dtype=np.int64),
-        coef=np.array(coefs, dtype=np.float64),
-        is_cos=np.array(coss, dtype=bool),
-    )
+        pref = amplitude_prefactor(q) * (1.0 / m**0.75)
+        for d in range(1, d_max + 1):
+            # branch weight, representation count and phase of the modulus d
+            if q % 2 == 0:
+                branch, weight, isc = xi(d, q), r2_weighted, False
+            elif d % 2:
+                branch, weight, isc = chi4(d), r2_weighted, False
+            else:
+                branch = (d % 4 == 0) * (-1) ** ((q + 1) // 2) * 2**q
+                weight, isc = r2_weighted_chi, True
+            if not branch:
+                continue
+            for k in range(1, k_max + 1):
+                w = weight(m * k * k, d, q, _reps_cached(m * k * k))
+                if w:
+                    ks.append(k)
+                    ds.append(d)
+                    coefs.append(pref * branch * w / (d ** (q - 1.5) * k**1.5))
+                    coss.append(isc)
+    arrays = (np.array(ks, np.int64), np.array(ds, np.int64))
+    arrays += (np.array(coefs, float), np.array(coss, bool))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return PhiTruncation(q, m, d_max, k_max, *arrays)
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +185,7 @@ def _modulus_weight_sums(q: int, d_max: int) -> tuple[float, float]:
     s = q - 1.5
     z = zeta_value(s)
     if q % 2 == 0:
-        full = 0.0
-        full += (1 - 2.0**-s) * z  # d odd
+        full = (1 - 2.0**-s) * z  # d odd
         full += abs(xi(2, q)) * 2.0**-s * (1 - 2.0**-s) * z  # d = 2 mod 4
         full += abs(xi(4, q)) * 4.0**-s * z  # d = 0 mod 4
         partial = sum(abs(xi(d, q)) * d**-s for d in range(1, d_max + 1))

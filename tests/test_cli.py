@@ -59,6 +59,11 @@ def test_moments_closed2_rejects_other_l(capsys):
     assert run(["moments", "--q", "3", "--m", "1", "--l", "3", "--method", "closed2"]) == 2
 
 
+def test_moments_ergodic_over_budget_exit_3(capsys):
+    assert run(["moments", "--q", "3", "--m", "1", "--l", "5", "--method", "ergodic"]) == 3
+    assert "budget error" in capsys.readouterr().err
+
+
 def test_moments_routes_agree(capsys):
     assert run(["moments", "--q", "3", "--m", "2", "--l", "2", "--method", "closed2"]) == 0
     closed = json.loads(capsys.readouterr().out)

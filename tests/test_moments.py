@@ -4,9 +4,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heislat.arithmetic import BudgetError, eps_sign, frak_r
+from heislat.distribution import tail_variance_estimate
 from heislat.moments import (
     _moment_prefactor,
     density_moment,
@@ -16,6 +18,7 @@ from heislat.moments import (
     third_moment_sum,
     variance_series,
 )
+from heislat.phi import PhiTruncation, build_phi
 
 
 def test_first_moment_vanishes():
@@ -43,6 +46,39 @@ def test_second_moment_ergodic_consistent():
     c = q2_closed(3, 2)
     e = q_ergodic(3, 2, 2)
     assert abs(c.value - e.value) <= c.error + e.error
+
+
+@pytest.mark.parametrize("d_mod, k_max", [(8, 64), (8, 8)])
+@pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (4, 5), (5, 5)])
+def test_ergodic_matches_grid_quadrature(q, m, d_mod, k_max):
+    # on P * 2^s points with 2^s > l * k_max the trapezoid rule averages the
+    # trigonometric polynomial phi^l exactly
+    trunc = build_phi(q, m, d_mod, k_max)
+    pow2 = 1
+    while pow2 <= 4 * k_max:
+        pow2 *= 2
+    vals = trunc.grid_values(trunc.period * pow2)
+    for ell in (2, 3, 4):
+        want = float(np.mean(vals**ell))
+        got = q_ergodic(q, m, ell, d_mod, k_max, _estimate_error=False).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_ergodic_and_tail_variance_build_no_grid(monkeypatch):
+    def no_grid(self, n_points):
+        raise AssertionError("period grid built")
+
+    monkeypatch.setattr(PhiTruncation, "grid_values", no_grid)
+    assert q_ergodic(3, 13, 2, 12, 64).value > 0
+    assert tail_variance_estimate(3, 60, 12, 64) == pytest.approx(5.567791700001649, rel=1e-13)
+
+
+def test_ergodic_budget_raises():
+    # l = 5 convolves the two-sided spectrum of the default box twice
+    with pytest.raises(BudgetError):
+        q_ergodic(3, 1, 5)
+    with pytest.raises(ValueError):
+        q_ergodic(3, 1, 0)
 
 
 def test_second_moments_positive_errors_finite():

@@ -25,11 +25,54 @@ def test_component_support():
     assert component_vanishes(21)
 
 
+def _term_sum(trunc, t):
+    """The unmerged term list summed one term at a time."""
+    out = np.zeros_like(t)
+    for k, d, c, isc in zip(trunc.k, trunc.d, trunc.coef, trunc.is_cos):
+        arg = 2 * math.pi * (k / d) * t - math.pi / 4
+        out += c * (np.cos(arg) if isc else np.sin(arg))
+    return out
+
+
+def _phase_err(trunc, t_max):
+    # float64 rounding of each phase 2 pi (k/d) t, summed over the terms
+    return np.finfo(float).eps * np.sum(np.abs(trunc.coef) * 2 * np.pi * trunc.k / trunc.d * t_max)
+
+
 def test_vanishing_component_is_zero():
     for q in (3, 4):
         trunc = build_phi(q, 3, 16, 16)
         t = np.linspace(0, 5, 50)
         assert np.max(np.abs(trunc(t))) == 0.0
+        assert all(len(part) == 0 for part in trunc.spectrum())
+        assert np.max(np.abs(trunc.grid_values(trunc.period * 4))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "q, m, d_max, k_max", [(3, 1, 8, 64), (4, 2, 12, 16), (5, 5, 8, 8), (3, 1, 128, 16)]
+)
+def test_spectrum_merges_term_list(q, m, d_max, k_max):
+    # (3, 1, 128, 16): the period lcm(1..128) is far above 2^63
+    trunc = build_phi(q, m, d_max, k_max)
+    num, den, a = trunc.spectrum()
+    pairs = set(zip(num.tolist(), den.tolist()))
+    assert len(pairs) == len(num) < len(trunc.k)
+    assert all(math.gcd(n, d) == 1 for n, d in pairs)
+    terms = zip(trunc.k.tolist(), trunc.d.tolist())
+    assert pairs == {(k // math.gcd(k, d), d // math.gcd(k, d)) for k, d in terms}
+    t = np.linspace(0, 40, 301)
+    raw = _term_sum(trunc, t)
+    merged = (a[None, :] * np.exp(2j * np.pi * np.outer(t, num / den))).real.sum(axis=1)
+    assert np.max(np.abs(merged - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
+    assert np.max(np.abs(trunc(t) - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
+
+
+def test_build_phi_shared_and_read_only():
+    trunc = build_phi(3, 2, 8, 16)
+    assert build_phi(3, 2, 8, 16) is trunc
+    for arr in (trunc.k, trunc.d, trunc.coef, trunc.is_cos, *trunc.spectrum()):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_truncation_period():
@@ -55,8 +98,8 @@ def test_grid_values_match_pointwise():
         grid = trunc.grid_values(n)
         j = np.arange(0, n, stride)
         # the pointwise reference rounds each phase 2 pi (k/d) t in float64
-        phase_err = np.finfo(float).eps * np.sum(np.abs(trunc.coef) * 2 * np.pi * trunc.k / trunc.d * trunc.period)
-        assert np.max(np.abs(grid[j] - trunc(j * (trunc.period / n)))) <= 1e-12 + phase_err
+        bound = 1e-12 + _phase_err(trunc, trunc.period)
+        assert np.max(np.abs(grid[j] - trunc(j * (trunc.period / n)))) <= bound
 
 
 def test_grid_values_requires_multiple_of_period():
