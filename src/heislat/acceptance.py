@@ -5,6 +5,7 @@ the test suite wraps the same functions."""
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,16 +112,16 @@ def criterion_5_third_moment():
     return True, "; ".join(report)
 
 
-@lru_cache(maxsize=4)
-def _density_grid(q: int = 3, m_max: int = 60, d_mod: int = 6, k_max: int = 64, half_step: bool = False, double_a: bool = False):
+@lru_cache(maxsize=None)
+def _density_grid(m_max: int = 60, d_mod: int = 6, k_max: int = 64, half_step: bool = False, double_a: bool = False):
     kwargs = {}
     if half_step or double_a:
-        base = density(q, m_max=60, d_mod=6, k_max=64)
+        base = _density_grid()
         if double_a:
             kwargs["A"] = 2 * base.cutoff
         if half_step:
             kwargs["step"] = base.step / 2
-    return density(q, m_max=m_max, d_mod=d_mod, k_max=k_max, **kwargs)
+    return density(3, m_max=m_max, d_mod=d_mod, k_max=k_max, **kwargs)
 
 
 def criterion_6_density_integrity():
@@ -256,6 +257,7 @@ CRITERIA = [
 
 
 def run_criteria(numbers=None, cache: str | None = None):
+    """(name, passed, detail, seconds) for each selected criterion, in order."""
     global _CACHE_DIR
     _CACHE_DIR = cache
     results = []
@@ -263,9 +265,10 @@ def run_criteria(numbers=None, cache: str | None = None):
         num = int(name.split()[0])
         if numbers and num not in numbers:
             continue
+        start = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, passed, detail))
+        results.append((name, passed, detail, time.perf_counter() - start))
     return results

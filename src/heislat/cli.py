@@ -309,8 +309,8 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         results = acceptance.run_criteria(args.criteria, cache=args.cache)
         ok = True
-        for name, passed, detail in results:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
+        for name, passed, detail, seconds in results:
+            print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}  ({seconds:.1f} s)")
             ok = ok and passed
         return 0 if ok else 1
     raise ValueError(f"unknown command {cmd}")

@@ -1,10 +1,10 @@
 """Characteristic function and limiting density by Fourier inversion.
 
 The characteristic function is a product over components m of factor
-averages L(sigma, m) = mean of exp(2 pi i sigma phi_m(t)) over long t
-intervals.  Factors are computed by exact-period quadrature of the
-modulus-truncated component; the product is cut at m <= M and the variance
-carried by the omitted components can be closed off by a Gaussian factor.
+averages L(sigma, m) = mean of exp(2 pi i sigma phi_m(t)) over a period of
+the truncated component, each from one period grid: the coarsest whose
+trapezoid error a strip bound certifies below 1e-9.  The product is cut at
+m <= M and a Gaussian factor closes off the variance of the omitted ones.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import BudgetError, r2
+from .arithmetic import BudgetError
 from .moments import q2_closed, q_ergodic, variance_series
 from .phi import build_phi, component_vanishes
 
 DEFAULT_D_MOD = 8
 DEFAULT_K_MAX = 64
+N_BINS = 8192
+QUAD_TOL = 1e-9
 
 
 class CutoffError(BudgetError):
@@ -31,37 +33,59 @@ def contributing_m(m_max: int) -> list[int]:
     return [m for m in range(1, m_max + 1) if not component_vanishes(m)]
 
 
+def _points_per_unit(k_max: int, refine: int) -> int:
+    """Period-grid points per unit t: the power of two >= 4 k_max, times 2^refine."""
+    return 1 << ((4 * k_max - 1).bit_length() + refine)
+
+
+def _quadrature_level(q: int, m: int, d_mod: int, k_max: int, u_max: float):
+    """Coarsest refine level whose period grid averages e^{i u phi_m} within
+    QUAD_TOL for all |u| <= u_max, and that error bound.
+
+    |Im phi_m(x + iy)| <= S(y) = sum |a| sinh(2 pi f y) over the spectrum, so
+    the periodic trapezoid rule with n points per unit t errs by at most
+    2 e^{u S(y)} / (e^{2 pi n y} - 1) (Trefethen & Weideman, SIAM Rev. 2014),
+    minimized in log space over y with 2 pi n y <= 700 at level 0: n >= 4 f
+    keeps 2 pi f y <= 175, so S stays finite.
+    """
+    num, den, a = build_phi(q, m, d_mod, k_max).spectrum()
+    y = np.geomspace(1e-4, 1.0, 128) * 700 / (2 * math.pi * _points_per_unit(k_max, 0))
+    s = np.sinh(2 * math.pi * np.outer(y, num / den)) @ np.abs(a)
+    for refine in range(7):
+        ny = 2 * math.pi * _points_per_unit(k_max, refine) * y
+        log_err = float(np.min(math.log(2) + u_max * s - ny - np.log(-np.expm1(-ny))))
+        if log_err <= math.log(QUAD_TOL):
+            return refine, math.exp(log_err)
+    raise BudgetError(f"no period grid up to refine 6 averages phi_{m} within {QUAD_TOL}")
+
+
 @lru_cache(maxsize=None)
-def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int = 0, n_bins: int = 8192):
+def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int):
     """Histogram summary (counts and centered moments) of phi_m over a period.
 
     The factor average over the period grid is recovered from per-bin
-    centered moments up to order three; with ~1e-4 bin widths the cubic
-    remainder stays below 1e-9 for |2 pi sigma| up to ~100.
+    centered moments up to order three.  Deviations from the bin centres are
+    at most w/2, w = (max - min) / N_BINS, so the cubic remainder is at most
+    (|u| w/2)^4 / 24.
     """
     trunc = build_phi(q, m, d_mod, k_max)
-    P = trunc.period
-    pow2 = 1
-    while pow2 < 4 * k_max:
-        pow2 *= 2
-    pow2 <<= refine
-    n_points = P * pow2
+    n_points = trunc.period * _points_per_unit(k_max, refine)
     if n_points > 2**26:
         raise BudgetError("period grid too large; lower d_mod or the refinement")
     vals = trunc.grid_values(n_points)
     lo, hi = float(vals.min()), float(vals.max())
     if hi - lo < 1e-12:
         hi = lo + 1e-12
-    width = (hi - lo) / n_bins
+    width = (hi - lo) / N_BINS
     idx = ((vals - lo) / width).astype(np.int64)
-    np.minimum(idx, n_bins - 1, out=idx)
-    centers = lo + (np.arange(n_bins) + 0.5) * width
+    np.minimum(idx, N_BINS - 1, out=idx)
+    centers = lo + (np.arange(N_BINS) + 0.5) * width
     # the grid is not needed after binning: reuse it, one grid-sized array fewer
     dev = np.subtract(vals, centers[idx], out=vals)
-    s0 = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    s1 = np.bincount(idx, weights=dev, minlength=n_bins)
-    s2 = np.bincount(idx, weights=dev * dev, minlength=n_bins)
-    s3 = np.bincount(idx, weights=dev * dev * dev, minlength=n_bins)
+    s0 = np.bincount(idx, minlength=N_BINS).astype(np.float64)
+    s1 = np.bincount(idx, weights=dev, minlength=N_BINS)
+    s2 = np.bincount(idx, weights=dev * dev, minlength=N_BINS)
+    s3 = np.bincount(idx, weights=dev * dev * dev, minlength=N_BINS)
     keep = s0 > 0
     return centers[keep], s0[keep], s1[keep], s2[keep], s3[keep], n_points, width
 
@@ -75,44 +99,20 @@ def _factor_from_bins(u: np.ndarray, bins) -> np.ndarray:
     return (phase * series).sum(axis=1) / n_points
 
 
-def char_factor(
-    q: int,
-    sigma,
-    m: int,
-    d_mod: int = DEFAULT_D_MOD,
-    k_max: int = DEFAULT_K_MAX,
-    refine_tol: float = 1e-9,
-):
-    """Factor average L(sigma, m); exactly 1 for vanishing components."""
+def char_factor(q: int, sigma, m: int, d_mod: int = DEFAULT_D_MOD, k_max: int = DEFAULT_K_MAX):
+    """Factor average L(sigma, m); exactly 1 for vanishing components.
+
+    One period grid, at the level _quadrature_level picks for the largest
+    |2 pi sigma|, gives L within QUAD_TOL plus the _phi_bins Taylor remainder.
+    """
     sig = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
     if component_vanishes(m):
-        out = np.ones(len(sig), dtype=complex)
-        return out[0] if np.isscalar(sigma) or np.ndim(sigma) == 0 else out
-    u = 2 * math.pi * sig
-    val = _factor_from_bins(u, _phi_bins(q, m, d_mod, k_max, 0))
-    for refine in range(1, 7):
-        check = _factor_from_bins(u, _phi_bins(q, m, d_mod, k_max, refine))
-        # relative accuracy suffices: factor errors enter the product
-        # multiplicatively, so small factors tolerate small absolute shifts
-        gap = np.abs(val - check) - refine_tol * (1 + np.abs(check))
-        val = check
-        if np.max(gap) <= 0:
-            break
+        val = np.ones(len(sig), dtype=complex)
     else:
-        raise BudgetError("factor average did not stabilize under refinement")
-    return val[0] if np.isscalar(sigma) or np.ndim(sigma) == 0 else val
-
-
-def char_tail_bound(sigma: float, m_max: int, probe: int = 20000) -> float:
-    """Bound sigma^2 sum_{m > M} r2(m)^2 / m^(3/2) on the omitted factors."""
-    total = 0.0
-    for m in range(m_max + 1, probe + 1):
-        if component_vanishes(m):
-            continue
-        total += r2(m) ** 2 / m**1.5
-    # geometric-ish remainder of the probe itself
-    total *= 1.2
-    return sigma * sigma * total
+        u = 2 * math.pi * sig
+        refine, _ = _quadrature_level(q, m, d_mod, k_max, float(np.max(np.abs(u), initial=0.0)))
+        val = _factor_from_bins(u, _phi_bins(q, m, d_mod, k_max, refine))
+    return val[0] if np.ndim(sigma) == 0 else val
 
 
 def char_function(
@@ -189,10 +189,15 @@ def density(
     x_step: float | None = None,
     d_mod: int = DEFAULT_D_MOD,
     k_max: int = DEFAULT_K_MAX,
-    tail_closure: bool = True,
 ) -> DensityGrid:
-    """Limiting density on a grid by direct trapezoid Fourier inversion."""
-    v_tail = tail_variance_estimate(q, m_max, d_mod, k_max) if tail_closure else 0.0
+    """Limiting density on a grid by direct trapezoid Fourier inversion.
+
+    The omitted components m > m_max enter as a Gaussian closure factor.
+    error_budget bounds or estimates each source of error in p, pointwise;
+    factor_quadrature is the certified bound 2 sigma_max sum_m (bound_m +
+    taylor_m) of _quadrature_level and the _phi_bins Taylor remainder.
+    """
+    v_tail = tail_variance_estimate(q, m_max, d_mod, k_max)
     variance = v_tail + sum(
         q2_closed(q, m, d_max=24, k_max=24).value for m in contributing_m(m_max)
     )
@@ -229,58 +234,44 @@ def density(
     # Gaussian-envelope estimate of the |sigma| > A remainder
     cutoff_tail = 2 * probe / (4 * math.pi**2 * max(variance, 1e-12) * A)
 
-    # coarsening estimate of the Gaussian-closure residual: redo the
-    # transform with the closure applied already at m_max // 2 and integrate
-    # the change; tail mass shrinks like M^(-1/2) per octave, so sum the
-    # octave increments as a geometric series with ratio 2^(-1/2)
-    closure_residual = 0.0
-    if tail_closure and m_max >= 8:
-        m_half = m_max // 2
-        v_half = tail_variance_estimate(q, m_half, d_mod, k_max)
-        half_coarse = char_function(q, sigma[n_sig:], m_half, d_mod, k_max, v_half)
-        octave = 2.0 * float(np.sum(np.abs(half_coarse - half)) * step)
-        closure_residual = octave * (2.0**-0.5) / (1.0 - 2.0**-0.5)
+    def coarsened(m, d, k):
+        # redo the product at coarser knobs, tail variance rematched, integrate
+        # the change; tail mass shrinks like 2^(-1/2) per octave, so sum the
+        # octave increments as a geometric series with that ratio
+        coarse = char_function(q, sigma[n_sig:], m, d, k, tail_variance_estimate(q, m, d, k))
+        octave = 2.0 * float(np.sum(np.abs(coarse - half)) * step)
+        return octave * (2.0**-0.5) / (1.0 - 2.0**-0.5)
 
-    # same coarsening idea for the component truncation itself: compare
-    # against the product built from coarser components, with tail variance
-    # rematched so the difference isolates the change of shape
-    trunc_residual = 0.0
-    if d_mod >= 4 and k_max >= 8:
-        d_coarse = max(d_mod - 2, 2)
-        k_coarse = k_max // 2
-        v_coarse = (
-            tail_variance_estimate(q, m_max, d_coarse, k_coarse) if tail_closure else 0.0
-        )
-        half_trunc = char_function(q, sigma[n_sig:], m_max, d_coarse, k_coarse, v_coarse)
-        octave = 2.0 * float(np.sum(np.abs(half_trunc - half)) * step)
-        trunc_residual = octave * (2.0**-0.5) / (1.0 - 2.0**-0.5)
+    # the Gaussian closure, applied already at m_max // 2, and the truncation
+    # of the components themselves, at the next coarser box
+    closure_residual = coarsened(m_max // 2, d_mod, k_max) if m_max >= 8 else 0.0
+    coarse_box = d_mod >= 4 and k_max >= 8
+    trunc_residual = coarsened(m_max, max(d_mod - 2, 2), k_max // 2) if coarse_box else 0.0
     # trapezoid periodization: the nearest image of the density sits at
     # distance 1/step from the grid, far out in the Gaussian-type tail
     image_dist = 1.0 / step - max(abs(x_min), abs(x_max))
     aliasing = float(np.max(np.abs(p))) * math.exp(
         -min(image_dist**2 / (2 * max(variance, 1e-12)), 700.0)
     )
+    # |Delta p| <= integral over |sigma| <= sigma_max of |Delta Phi|, and each
+    # factor error enters Phi at most once since all factors are <= 1
+    u_max = 2 * math.pi * float(sigma[-1])
+    quadrature = 0.0
+    for m in contributing_m(m_max):
+        refine, bound = _quadrature_level(q, m, d_mod, k_max, u_max)
+        width = _phi_bins(q, m, d_mod, k_max, refine)[-1]
+        quadrature += bound + (u_max * width / 2) ** 4 / 24
     budget = {
         "imag_noise": float(np.max(np.abs(p_complex.imag))),
         "cutoff_remainder": float(cutoff_tail),
-        "factor_quadrature": 1e-9 * len(contributing_m(m_max)),
-        "product_tail_at_A": float(min(char_tail_bound(A, m_max), 1.0)) if not tail_closure else 0.0,
+        "factor_quadrature": 2 * float(sigma[-1]) * quadrature,
         "tail_closure_residual": closure_residual,
         "truncation_residual": trunc_residual,
         "aliasing": aliasing,
     }
     return DensityGrid(
-        q=q,
-        x=x,
-        p=p,
-        sigma=sigma,
-        phi=phi_vals,
-        m_max=m_max,
-        cutoff=A,
-        step=step,
-        x_step=x_step,
-        tail_variance=v_tail,
-        error_budget=budget,
+        q=q, x=x, p=p, sigma=sigma, phi=phi_vals, m_max=m_max, cutoff=A, step=step,
+        x_step=x_step, tail_variance=v_tail, error_budget=budget,
     )
 
 

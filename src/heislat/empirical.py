@@ -53,6 +53,16 @@ def empirical_lambda_moment(series: SampleSeries, lam: float) -> float:
     return float(np.mean(np.abs(series.err) ** lam))
 
 
+def _ks(err: np.ndarray, model_cdf) -> float:
+    """KS distance between the samples err and a model CDF, a vectorized callable."""
+    samples = np.sort(err)
+    model = model_cdf(samples)
+    n = len(samples)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(np.max(np.maximum(np.abs(upper - model), np.abs(model - lower))))
+
+
 def ks_distance(series: SampleSeries, grid: DensityGrid) -> float:
     """Kolmogorov-Smirnov distance between samples and a gridded density."""
     cdf = cdf_and_moments(grid)["cdf"]
@@ -60,22 +70,13 @@ def ks_distance(series: SampleSeries, grid: DensityGrid) -> float:
     if total <= 0:
         raise ValueError("density grid carries no mass")
     cdf = cdf / total
-    samples = np.sort(series.err)
-    model = np.interp(samples, grid.x, cdf, left=0.0, right=1.0)
-    n = len(samples)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(upper - model), np.abs(model - lower))))
+    return _ks(series.err, lambda s: np.interp(s, grid.x, cdf, left=0.0, right=1.0))
 
 
 def ks_distance_gaussian(series: SampleSeries, variance: float) -> float:
     """KS distance to a centered Gaussian with the given variance."""
-    samples = np.sort(series.err)
-    model = 0.5 * (1 + np.vectorize(math.erf)(samples / math.sqrt(2 * variance)))
-    n = len(samples)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(upper - model), np.abs(model - lower))))
+    erf = np.vectorize(math.erf)
+    return _ks(series.err, lambda s: 0.5 * (1 + erf(s / math.sqrt(2 * variance))))
 
 
 def component_sum_l2_gap(

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output formats, config handling."""
 
 import json
+import re
 import struct
 
 import pytest
@@ -89,6 +90,13 @@ def test_voronoi_gap_json_provenance(capsys):
     assert payload["X"] == 6 and payload["H"] == 18.0 and payload["samples"] == 12
     assert payload["den"] > 1 and payload["terms"] > 0
     assert 0 <= payload["gap"] < 10.0
+
+
+def test_verify_prints_seconds_per_criterion(capsys):
+    assert run(["verify", "--criteria", "1", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[:2] for line in lines] == [["PASS", "1"], ["PASS", "3"]]
+    assert all(re.search(r"  \(\d+\.\d s\)$", line) for line in lines)
 
 
 def test_phi_csv(capsys):
