@@ -39,7 +39,6 @@ from .voronoi import (
     VoronoiCoefficients,
     build_S_terms,
     coeff_aH,
-    eval_T_sums,
     gap_report,
     mean_square_gap,
     tau,

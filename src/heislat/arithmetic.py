@@ -42,27 +42,6 @@ def mobius(n: int) -> int:
     return result
 
 
-def mobius_sieve(limit: int) -> np.ndarray:
-    """Array mu[0..limit] with mu[0] unused (set to 0)."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    primes = []
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    smallest = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            smallest[i] = i
-            mu[i] = -1
-        for p in primes:
-            if p * i > limit or p > smallest[i]:
-                break
-            is_comp[p * i] = True
-            smallest[p * i] = p
-            mu[p * i] = 0 if i % p == 0 else -mu[i]
-    return mu.astype(np.int64)
-
-
 def chi4(n: int) -> int:
     """Nontrivial Dirichlet character mod 4."""
     r = n % 4

@@ -16,19 +16,22 @@ import numpy as np
 
 from .arithmetic import ArithTables, _chi4_array, _rep_weight, chi4, rho_chi_q, rho_q, two_square_reps, xi
 from .lattice import sample_normalized_errors
+from .phi import _amplitudes, _trig_sum
 
-QUARTER = math.pi / 4
 
+def tau(t):
+    """Kernel t(1-t)cot(pi t) + t/pi on [0, 1], with tau(0) = 1/pi and tau(1) = 0.
 
-def tau(t: float) -> float:
-    """Kernel t(1-t)cot(pi t) + t/pi on [0, 1], with tau(0) = 1/pi."""
-    if t < 0 or t > 1:
+    Takes a scalar or an array and returns the same kind.
+    """
+    arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("tau is defined on [0, 1]")
-    if t == 0.0:
-        return 1.0 / math.pi
-    if t == 1.0:
-        return 0.0
-    return t * (1 - t) / math.tan(math.pi * t) + t / math.pi
+    out = np.where(arr == 0, 1.0 / math.pi, 0.0)
+    inner = (arr > 0) & (arr < 1)
+    ti = arr[inner]
+    out[inner] = ti * (1 - ti) / np.tan(math.pi * ti) + ti / math.pi
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _rep_pairs(m: int, h_cap: float):
@@ -89,36 +92,21 @@ class VoronoiCoefficients:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Vectorized S_{q,H} at the given dilation parameters."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.zeros_like(x)
-        x2 = x * x
-        for is_cos in (False, True):
-            sel = self.is_cos == is_cos
-            freq, coef = self.freq[sel], self.coef[sel]
-            chunk = max(1, int(4e6 / max(len(freq), 1)))
-            for lo in range(0, len(x), chunk):
-                out[lo : lo + chunk] += _phase_sum(freq, coef, is_cos, x2[lo : lo + chunk])
-        return out
-
-
-def _phase_sum(freq: np.ndarray, coef: np.ndarray, is_cos: bool, x2: np.ndarray) -> np.ndarray:
-    """Sum of coef * sin(2 pi freq x^2 - pi/4), or cosines, at each x^2."""
-    arg = 2 * math.pi * freq[:, None] * x2[None, :] - QUARTER
-    return coef @ (np.cos(arg) if is_cos else np.sin(arg))
+        return _trig_sum(self.freq, _amplitudes(self.coef, self.is_cos), x * x)
 
 
 _CHIRP_BLOCK = 4096
 
 
 def _term_blocks(rows):
-    """Concatenate (freq, coef, is_cos) rows into blocks of about _CHIRP_BLOCK terms.
+    """Concatenate (freq, coef, is_cos) rows into (freq, amp) blocks of about _CHIRP_BLOCK terms.
 
-    Each block is (freq, coef, shift) with shift = -1/8 turn for sine terms
-    and +1/8 for cosine terms, so that every term reads
-    sin(2 pi (freq x^2 + shift)).
+    amp holds the _amplitudes of the terms, so that every term reads
+    Re(amp e^{2 pi i freq x^2}).
     """
     block, n = [], 0
     for freq, coef, is_cos in rows:
-        block.append((freq, coef, np.full(len(coef), 0.125 if is_cos else -0.125)))
+        block.append((freq, _amplitudes(coef, is_cos)))
         n += len(coef)
         if n >= _CHIRP_BLOCK:
             out = tuple(np.concatenate(parts) for parts in zip(*block))
@@ -129,7 +117,7 @@ def _term_blocks(rows):
 
 
 def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """Sum of the rows' coef * sin(2 pi freq x^2 - pi/4), or cosines, at x = num/den.
+    """Sum of the rows' terms at x = num/den.
 
     Takes the integer numerators num of the samples, in order.  With
     N' = N + s, z = e^{2 pi i f N^2/den^2} advances by z <- z u_s, and for
@@ -147,15 +135,13 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     start = (2 * int(num[0]) * steps + steps * steps) / den2
     pair = 2 * np.multiply.outer(steps, steps) / den2
 
-    def block_sums(freq, coef, shift):
+    def block_sums(freq, amp):
         # a function of its own, so one block's arrays are freed before the next
         v = _turns(np.multiply.outer(pair, freq))
         u = _turns(np.multiply.outer(start, freq))
-        z = _turns(freq * x0sq + shift)
-        # every term weighs Im z; the interleaved (Re, Im) dot is the fast one
-        weight = np.zeros((len(coef), 2))
-        weight[:, 1] = coef
-        weight = weight.ravel()
+        z = _turns(freq * x0sq)
+        # Re(amp z) = Re amp Re z - Im amp Im z: the interleaved dot is the fast one
+        weight = np.conj(amp).view(np.float64)
         zf = z.view(np.float64)
         sums = np.empty(len(num))
         sums[0] = zf @ weight
@@ -167,9 +153,9 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 
     out = np.zeros(len(num))
     terms = 0
-    for freq, coef, shift in _term_blocks(rows):
-        out += block_sums(freq, coef, shift)
-        terms += len(coef)
+    for freq, amp in _term_blocks(rows):
+        out += block_sums(freq, amp)
+        terms += len(amp)
     return out, terms
 
 
@@ -187,12 +173,13 @@ def _sum1_arrays(d: int, H: float, q: int, twist=None):
     """Yield the (m, coef) rows of the first inner sum (n = 0 mod d) for one modulus d."""
     h_max = math.floor(H)
     inv1 = 1.0 / (h_max + 1)
+    kernel = tau(np.arange(1, h_max + 1) * inv1)
     n = 0
     while n <= h_max:
         h = np.arange(max(n, 1), h_max + 1, dtype=np.int64)
         if len(h):
             m = n * n + h * h
-            w = _rep_weight(h, m, q) * _tau_np(h * inv1)
+            w = _rep_weight(h, m, q) * kernel[max(n, 1) - 1 :]
             half = np.where((n == 0) | (h == n), 0.5, 1.0)
             t = w * half
             if twist is not None:
@@ -204,27 +191,17 @@ def _sum1_arrays(d: int, H: float, q: int, twist=None):
 def _sum2_arrays(d: int, H: float, q: int, twist=None):
     """Yield the (m, coef) rows of the second inner sum (h = 0 mod d) for one modulus d."""
     den2 = d * (math.floor(H / d) + 1)
-    h = d
-    while h <= H:
+    hs = np.arange(d, math.floor(H) + 1, d)
+    kernel = tau(hs / den2)
+    for h, k in zip(hs.tolist(), kernel.tolist()):
         n = np.arange(0, h + 1, dtype=np.int64)
         m = n * n + h * h
-        w = _rep_weight(n, m, q) * tau(h / den2)
+        w = _rep_weight(n, m, q) * k
         half = np.where((n == 0) | (n == h), 0.5, 1.0)
         t = w * half
         if twist is not None:
             t = t * twist(n, h)
         yield m, t
-        h += d
-
-
-def _tau_np(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    interior = (t > 0) & (t < 1)
-    ti = t[interior]
-    out[interior] = ti * (1 - ti) / np.tan(math.pi * ti) + ti / math.pi
-    out[t <= 0] = 1.0 / math.pi
-    out[t >= 1] = 0.0
-    return out
 
 
 def iter_S_rows(q: int, H: float):
@@ -271,19 +248,9 @@ def _S_rows(rows, d: int, pref: float, is_cos: bool):
 
 def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
     """Assemble the term list of S_{q,H} grouped by representation pairs."""
-    freqs, coefs, cosflags = [], [], []
-    for freq, coef, is_cos in iter_S_rows(q, H):
-        freqs.append(freq)
-        coefs.append(coef)
-        cosflags.append(np.full(len(freq), is_cos, dtype=bool))
-    if freqs:
-        freq = np.concatenate(freqs)
-        coef = np.concatenate(coefs)
-        is_cos = np.concatenate(cosflags)
-    else:
-        freq = np.zeros(0)
-        coef = np.zeros(0)
-        is_cos = np.zeros(0, dtype=bool)
+    rows = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))]
+    rows += [(freq, coef, np.full(len(freq), is_cos)) for freq, coef, is_cos in iter_S_rows(q, H)]
+    freq, coef, is_cos = (np.concatenate(parts) for parts in zip(*rows))
     return VoronoiCoefficients(q=q, H=H, freq=freq, coef=coef, is_cos=is_cos)
 
 
@@ -297,7 +264,7 @@ def eval_S_streaming(q: int, H: float, x: np.ndarray) -> np.ndarray:
     x2 = x * x
     out = np.zeros_like(x)
     for freq, coef, is_cos in iter_S_rows(q, H):
-        out += _phase_sum(freq, coef, is_cos, x2)
+        out += _trig_sum(freq, _amplitudes(coef, is_cos), x2)
     return out
 
 
@@ -314,25 +281,13 @@ def _T_rows(q: int, H: float):
     for d in range(math.isqrt(math.floor(H)) + 1, math.floor(H) + 1):
         h_top = math.floor(H / d)
         h = np.arange(1, h_top + 1)
-        k = _tau_np(h / (h_top + 1)) / (d ** (q - 1.5) * h**1.5)
+        k = tau(h / (h_top + 1)) / (d ** (q - 1.5) * h**1.5)
         cd = chi4(d)
         if cd:
             yield h / d, sin_amp * cd * k, False
         if d % 4 == 0:
             odd = h % 2 == 1
             yield h[odd] / d, cos_amp * _chi4_array(h[odd]) * k[odd], True
-
-
-def eval_T_sums(q: int, H: float, x) -> dict[str, np.ndarray]:
-    """The two short q=3 tail sums over moduli d > sqrt(H)."""
-    if q % 2 == 0:
-        raise ValueError("the tail sums are defined for odd q (used at q = 3)")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x2 = x * x
-    out = {"t_chi": np.zeros_like(x), "t_chi_upper": np.zeros_like(x)}
-    for freq, coef, is_cos in _T_rows(q, H):
-        out["t_chi_upper" if is_cos else "t_chi"] += _phase_sum(freq, coef, is_cos, x2)
-    return out
 
 
 @dataclass
@@ -352,20 +307,19 @@ def gap_report(
     X: int,
     n_samples: int = 200,
     H: float | None = None,
-    include_tails: bool = True,
 ) -> GapReport:
     """Mean square of (normalized error - S_{q,H}) over [X, 2X].
 
     With H = X^2/2 this is the quantity that decays like X^-2 log^4 X.
     For q = 3 the two short tail sums are part of the decomposition and
-    are subtracted as well when include_tails is set.  The sums run on the
-    sampler's grid x = num/den by _chirp_sum; terms counts their terms.
+    are subtracted as well.  The sums run on the sampler's grid
+    x = num/den by _chirp_sum; terms counts their terms.
     """
     if H is None:
         H = X * X / 2
     series = sample_normalized_errors(q, tables, X, 2 * X, n_samples)
     rows = iter_S_rows(q, H)
-    if q == 3 and include_tails:
+    if q == 3:
         rows = itertools.chain(rows, _T_rows(q, H))
     approx, terms = _chirp_sum(rows, series.num, series.den)
     gap = float(np.mean((series.err - approx) ** 2))
@@ -378,7 +332,6 @@ def mean_square_gap(
     X: int,
     n_samples: int = 200,
     H: float | None = None,
-    include_tails: bool = True,
 ) -> float:
     """Mean square of (normalized error - S_{q,H}) over [X, 2X]: gap_report's gap."""
-    return gap_report(q, tables, X, n_samples, H, include_tails).gap
+    return gap_report(q, tables, X, n_samples, H).gap

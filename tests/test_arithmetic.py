@@ -17,7 +17,6 @@ from heislat.arithmetic import (
     l_chi4_value,
     load_tables,
     mobius,
-    mobius_sieve,
     r2,
     r2_weighted,
     r2_weighted_chi,
@@ -28,12 +27,6 @@ from heislat.arithmetic import (
     xi,
     zeta_value,
 )
-
-
-def test_mobius_matches_sieve():
-    sieve = mobius_sieve(2000)
-    for n in range(1, 2001):
-        assert mobius(n) == sieve[n]
 
 
 def test_mobius_known_values():

@@ -2,10 +2,12 @@
 
 import importlib
 
+import numpy as np
 import pytest
 
-from heislat.phi import PhiTruncation
-from heislat.voronoi import VoronoiCoefficients
+from heislat.arithmetic import build_r2q_prefix
+from heislat.phi import PhiTruncation, build_phi
+from heislat.voronoi import VoronoiCoefficients, mean_square_gap
 
 CALLED = {
     "heislat": ["build_r2q_prefix"],
@@ -28,4 +30,11 @@ def test_traced_methods_defined_in_class_body():
     # the tracer rebinds these through the class __dict__, so an inherited
     # or generated method would not be seen
     assert {"grid_values", "__call__"} <= set(vars(PhiTruncation))
-    assert "evaluate" in vars(VoronoiCoefficients)
+    assert {"evaluate", "__len__"} <= set(vars(VoronoiCoefficients))
+
+
+def test_traced_counter_inputs():
+    # the tracer's counters read the term array k of a component, and the
+    # worker calls mean_square_gap with (q, tables, X, n_samples) positionally
+    assert isinstance(build_phi(3, 1, 4, 4).k, np.ndarray)
+    assert 0 <= mean_square_gap(3, build_r2q_prefix(3, 400), 10, 8) < 10.0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from heislat.phi import (
+    _TRIG_BLOCK,
     build_phi,
     component_vanishes,
     partial_sum_phi,
-    sup_bound,
     tail_bound_for,
 )
 
@@ -49,10 +49,13 @@ def test_vanishing_component_is_zero():
 
 
 @pytest.mark.parametrize(
-    "q, m, d_max, k_max", [(3, 1, 8, 64), (4, 2, 12, 16), (5, 5, 8, 8), (3, 1, 128, 16)]
+    "q, m, d_max, k_max, n_t",
+    [(3, 1, 8, 64, 301), (4, 2, 12, 16, 301), (5, 5, 8, 8, 301), (3, 1, 128, 16, 301), (3, 2, 6, 8, 2 * _TRIG_BLOCK + 7)],
+    ids=["3-1-8-64", "4-2-12-16", "5-5-8-8", "3-1-128-16", "3-2-6-8-long-t"],
 )
-def test_spectrum_merges_term_list(q, m, d_max, k_max):
+def test_spectrum_merges_term_list(q, m, d_max, k_max, n_t):
     # (3, 1, 128, 16): the period lcm(1..128) is far above 2^63
+    # long-t: more points than one block of the evaluator, with a ragged last block
     trunc = build_phi(q, m, d_max, k_max)
     num, den, a = trunc.spectrum()
     pairs = set(zip(num.tolist(), den.tolist()))
@@ -60,7 +63,7 @@ def test_spectrum_merges_term_list(q, m, d_max, k_max):
     assert all(math.gcd(n, d) == 1 for n, d in pairs)
     terms = zip(trunc.k.tolist(), trunc.d.tolist())
     assert pairs == {(k // math.gcd(k, d), d // math.gcd(k, d)) for k, d in terms}
-    t = np.linspace(0, 40, 301)
+    t = np.linspace(0, 40, n_t)
     raw = _term_sum(trunc, t)
     merged = (a[None, :] * np.exp(2j * np.pi * np.outer(t, num / den))).real.sum(axis=1)
     assert np.max(np.abs(merged - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
@@ -122,13 +125,6 @@ def test_tail_bound_decreasing():
         b2 = tail_bound_for(q, m, 32, 64)
         b3 = tail_bound_for(q, m, 128, 64)
         assert b1 > b2 > b3 >= 0
-
-
-def test_sup_bound_dominates_samples():
-    for q, m in [(3, 1), (3, 2), (4, 5)]:
-        trunc = build_phi(q, m, 10, 32)
-        grid = trunc.grid_values(trunc.period * 64)
-        assert sup_bound(q, m) >= np.max(np.abs(grid)) * (1 - 1e-12)
 
 
 def test_partial_sum_finite_and_additive():

@@ -8,16 +8,15 @@ import pytest
 
 from heislat.arithmetic import build_r2q_prefix, chi4, rho_chi_q, rho_q, xi
 from heislat.lattice import sample_normalized_errors
+from heislat.phi import _amplitudes, _trig_sum
 from heislat.voronoi import (
     _CHIRP_BLOCK,
     _T_rows,
     _chirp_sum,
-    _phase_sum,
     build_S_terms,
     coeff_aH,
     coeff_aH_chi,
     eval_S_streaming,
-    eval_T_sums,
     gap_report,
     iter_S_rows,
     mean_square_gap,
@@ -104,11 +103,18 @@ def test_terms_grow_with_H():
     assert len(large.freq) > len(small.freq)
 
 
+def _tail_sums(q, H, x):
+    """The two q=3 tail sums at x through the one evaluator: sine rows, cosine rows."""
+    out = {False: np.zeros_like(x), True: np.zeros_like(x)}
+    for freq, coef, is_cos in _T_rows(q, H):
+        out[is_cos] += _trig_sum(freq, _amplitudes(coef, is_cos), x * x)
+    return out[False], out[True]
+
+
 def test_t_sums_keys_and_finiteness():
     x = np.array([2.0, 4.0])
-    out = eval_T_sums(3, 50.0, x)
-    assert set(out) == {"t_chi", "t_chi_upper"}
-    for v in out.values():
+    assert {is_cos for _, _, is_cos in _T_rows(3, 50.0)} == {False, True}
+    for v in _tail_sums(3, 50.0, x):
         assert np.all(np.isfinite(v))
 
 
@@ -127,9 +133,9 @@ def test_t_sums_match_scalar_loop():
             want_chi += 2 ** (q - 1) * ampc * chi4(d) * k * np.sin(arg)
             if d % 4 == 0:
                 want_upper += (-1) ** ((q + 1) // 2) * 2 ** (2 * q - 1) * ampc * chi4(h) * k * np.cos(arg)
-    got = eval_T_sums(q, H, x)
-    assert np.max(np.abs(got["t_chi"] - want_chi)) <= 1e-12 * (1 + np.max(np.abs(want_chi)))
-    assert np.max(np.abs(got["t_chi_upper"] - want_upper)) <= 1e-12 * (1 + np.max(np.abs(want_upper)))
+    got_chi, got_upper = _tail_sums(q, H, x)
+    assert np.max(np.abs(got_chi - want_chi)) <= 1e-12 * (1 + np.max(np.abs(want_chi)))
+    assert np.max(np.abs(got_upper - want_upper)) <= 1e-12 * (1 + np.max(np.abs(want_upper)))
     assert np.any(want_chi != 0) and np.any(want_upper != 0)
 
 
@@ -144,7 +150,7 @@ def _chirp_against_direct(rows, num, den):
     rows = list(rows)
     num = np.asarray(num)
     x = num / den
-    want = sum(_phase_sum(f, c, ic, x * x) for f, c, ic in rows)
+    want = sum(_trig_sum(f, _amplitudes(c, ic), x * x) for f, c, ic in rows)
     got, terms = _chirp_sum(iter(rows), num, den)
     assert terms == sum(int(np.count_nonzero(c)) for _, c, _ in rows)
     abs_coef = sum(float(np.sum(np.abs(c))) for _, c, _ in rows)
