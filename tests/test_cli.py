@@ -84,6 +84,13 @@ def test_density_moment_json_provenance(capsys):
     assert payload["value"] > 0 and payload["error_estimate"] > 0
 
 
+def test_density_json_abs_moments(capsys):
+    assert run(["density", "--q", "3", "--M", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["abs_moments"]) == ["0.5", "1", "1.5", "2"]
+    assert payload["abs_moments"]["2"] == pytest.approx(payload["moments"][2], rel=1e-12)
+
+
 def test_voronoi_gap_json_provenance(capsys):
     assert run(["voronoi-gap", "--q", "3", "--X", "6", "--samples", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)

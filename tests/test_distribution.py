@@ -1,5 +1,6 @@
 """Characteristic function and Fourier-inverted limiting density."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,20 @@ from heislat.distribution import (
     density,
     tail_variance_estimate,
 )
+
+# the half sigma grid of density(3) at its defaults, and criterion 6's scattered +-sigma
+HALF_GRID = np.arange(85) * 0.004264855625138066
+SCATTERED = np.array([-0.23, -0.11, -0.05, 0.05, 0.11, 0.23]) * 0.34979989491394736
+
+
+def direct_factor(u, bins):
+    # one exp per (u, bin) and the Taylor series in each bin, summed over bins
+    c0, s, n_points, width = bins
+    u = np.atleast_1d(u)
+    centers = c0 + width * np.arange(distribution.N_BINS)
+    iu = 1j * u[:, None]
+    series = s[0] + iu * s[1] + iu**2 / 2 * s[2] + iu**3 / 6 * s[3]
+    return (np.exp(1j * np.outer(u, centers)) * series).sum(axis=1) / n_points
 
 
 def test_contributing_m_list():
@@ -67,6 +82,44 @@ def test_quadrature_bound_holds_against_finer_grid(m, u):
     assert gap <= bound + taylor + 1e-15
 
 
+@pytest.mark.parametrize("m", [1, 13])
+@pytest.mark.parametrize(
+    "sigma", [0.0, 0.17, HALF_GRID, SCATTERED], ids=["zero", "scalar", "half-grid", "scattered"]
+)
+def test_factor_from_bins_matches_direct_sum(m, sigma):
+    u = 2 * np.pi * np.asarray(sigma)
+    refine, _ = distribution._quadrature_level(3, m, 6, 32, float(np.max(np.abs(u))))
+    bins = distribution._phi_bins(3, m, 6, 32, refine)
+    got = distribution._factor_from_bins(u, bins)
+    assert got.shape == np.atleast_1d(u).shape
+    assert np.max(np.abs(got - direct_factor(u, bins))) <= 1e-13
+
+
+@pytest.mark.parametrize("width", [1e-12 / distribution.N_BINS, 0.01])
+def test_factor_from_bins_point_mass(width):
+    # all mass in one bin with zero centered moments: the factor is exactly
+    # e^{i u c_j}; the first width is the one _phi_bins gives a constant phi
+    j, c0, n_points = 64 * 77 + 13, -3.7, 1000
+    s = np.zeros((4, distribution.N_BINS))
+    s[0, j] = n_points
+    u = 2 * np.pi * np.concatenate([HALF_GRID, SCATTERED])
+    got = distribution._factor_from_bins(u, (c0, s, n_points, width))
+    assert np.max(np.abs(got - np.exp(1j * u * (c0 + j * width)))) <= 1e-13
+
+
+def test_factor_from_bins_forms_no_sigma_by_bins_array():
+    bins = distribution._phi_bins(3, 1, 6, 32, 0)
+    u = 2 * np.pi * HALF_GRID
+    # a len(u) x N_BINS complex array alone would take eight times the limit
+    tracemalloc.start()
+    try:
+        distribution._factor_from_bins(u, bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(u) * distribution.N_BINS * 16 / 8
+
+
 def test_char_factor_builds_one_grid_per_call(monkeypatch):
     seen = []
     real = distribution._phi_bins
@@ -114,6 +167,16 @@ def test_density_cdf_monotone(small_grid):
     assert np.all(np.diff(rep["cdf"]) >= -1e-12)
     assert rep["cdf"][0] == pytest.approx(0.0, abs=1e-6)
     assert rep["cdf"][-1] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_density_abs_moments(small_grid):
+    rep = cdf_and_moments(small_grid)
+    lam_moments = rep["abs_moments"]
+    assert list(lam_moments) == [0.5, 1, 1.5, 2]
+    assert lam_moments[2] == pytest.approx(rep["moments"][2], rel=1e-12)
+    # Lyapunov: (E|X|^lam)^(1/lam) increases with lam
+    norms = [v ** (1 / lam) for lam, v in lam_moments.items()]
+    assert np.all(np.diff(norms) > 0)
 
 
 def test_density_negative_skew(small_grid):
