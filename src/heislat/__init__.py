@@ -20,7 +20,6 @@ from .arithmetic import (
     rho_chi_q,
     rho_q,
     save_tables,
-    xi,
     zeta_value,
 )
 from .distribution import DensityGrid, cdf_and_moments, char_factor, char_function, density
@@ -33,7 +32,7 @@ from .lattice import (
     volume_unit_ball,
 )
 from .moments import MomentValue, density_moment, q2_closed, q_analytic, q_ergodic, third_moment_sum, variance_series
-from .phi import PhiTruncation, build_phi, partial_sum_phi, tail_bound_for
+from .phi import PhiTruncation, build_phi, partial_sum_phi
 from .voronoi import (
     GapReport,
     VoronoiCoefficients,

@@ -149,19 +149,6 @@ def r2_weighted_chi(m: int, d: int, q: int, reps: list[tuple[int, int]] | None =
     return total
 
 
-def xi(d: int, q: int) -> int:
-    """Sign/weight attached to the modulus d in the even-q oscillating sums."""
-    if q % 2:
-        raise ValueError("xi is defined for even q")
-    s = -1 if (q // 2) % 2 else 1
-    if d % 2:
-        return 1
-    val = -s
-    if d % 4 == 0:
-        val += s * 2**q
-    return val
-
-
 def eps_sign(d: int, q: int) -> int:
     """Frequency sign for modulus d in the moment constraint.
 
@@ -172,43 +159,72 @@ def eps_sign(d: int, q: int) -> int:
     return 1 if d % 2 else -1
 
 
+def _branch(d: int, q: int) -> tuple[int, bool]:
+    """(factor, twisted) of the modulus d in phi_m, S_{q,H} and the q = 3 tails.
+
+    Even q: xi(d; q), that is 1 on odd d, -s on d = 2 and s (2^q - 1) on
+    d = 0 mod 4, s = (-1)^(q/2).  Odd q: chi4(d) on odd d, 0 on d = 2 and
+    -s 2^q on d = 0 mod 4, twisted: weights carry chi4 of the free
+    coordinate and the phase is a cosine.  A factor 0 drops the modulus.
+    """
+    s = (-1) ** (q // 2)
+    if d % 2:
+        return (chi4(d) if q % 2 else 1), False
+    if q % 2 == 0:
+        return (s * (2**q - 1) if d % 4 == 0 else -s), False
+    return (-s * 2**q, True) if d % 4 == 0 else (0, False)
+
+
+def _frak_branch(d: int, q: int) -> tuple[int, bool]:
+    """(factor, twisted) of the reduced modulus d in frak_r and the Q(m, 2) sums.
+
+    As _branch on odd d; 0 on d = 2 mod 4; (-1)^(q//2) 2^q on d = 0 mod 4, twisted for odd q.
+    """
+    if d % 2:
+        return _branch(d, q)
+    if d % 4:
+        return 0, False
+    return (-1) ** (q // 2) * 2**q, q % 2 == 1
+
+
 def frak_r(m: int, d: int, q: int, reps: list[tuple[int, int]] | None = None) -> float:
     """Signed representation weight entering the moment formulas.
 
-    Zero unless d is odd or divisible by 4 (the caller is expected to also
-    enforce gcd(k, d) = 1 when m = m0 k^2).
+    The _frak_branch factor times r2_weighted, or r2_weighted_chi where
+    twisted (the caller is expected to also enforce gcd(k, d) = 1 when
+    m = m0 k^2).
     """
-    if d % 4 == 2:
+    factor, twisted = _frak_branch(d, q)
+    if not factor:
         return 0.0
-    if q % 2 == 0:
-        if d % 2:
-            return r2_weighted(m, d, q, reps)
-        sign = 1 if (q // 2) % 2 == 0 else -1
-        return sign * 2**q * r2_weighted(m, d, q, reps)
-    if d % 2:
-        return chi4(d) * r2_weighted(m, d, q, reps)
-    sign = 1 if ((q - 1) // 2) % 2 == 0 else -1
-    return sign * 2**q * r2_weighted_chi(m, d, q, reps)
+    return factor * (r2_weighted_chi if twisted else r2_weighted)(m, d, q, reps)
 
 
-def zeta_value(s: float, n_terms: int = 1_000_000) -> float:
+ZETA_TERMS = 1_000_000
+L_CHI4_TERMS = 200_000
+
+
+def zeta_value(s: float) -> float:
     """Riemann zeta at real s > 1 by direct summation.
 
-    Partial sum plus the Euler-Maclaurin head of the tail; the residual is
-    below s * n_terms^(-s-1), far under 1e-12 for s >= 3/2 at the default.
+    Partial sum of ZETA_TERMS terms plus the Euler-Maclaurin head of the
+    tail; the residual is below s * ZETA_TERMS^(-s-1), far under 1e-12 for
+    s >= 3/2.
     """
     if s <= 1:
         raise ValueError("need s > 1")
+    n_terms = ZETA_TERMS
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     partial = float(np.sum(n**-s))
     tail = n_terms ** (1 - s) / (s - 1) - 0.5 * n_terms**-s + (s / 12) * n_terms ** (-s - 1)
     return partial + tail
 
 
-def l_chi4_value(s: float, n_terms: int = 200_000) -> float:
-    """Dirichlet L(s, chi4) by alternating summation with averaged tail."""
+def l_chi4_value(s: float) -> float:
+    """Dirichlet L(s, chi4) by alternating summation of L_CHI4_TERMS terms with averaged tail."""
     if s <= 0:
         raise ValueError("need s > 0")
+    n_terms = L_CHI4_TERMS
     j = np.arange(n_terms, dtype=np.float64)
     terms = (-1.0) ** j / (2 * j + 1) ** s
     partial = float(np.sum(terms))

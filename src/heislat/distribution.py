@@ -188,11 +188,10 @@ def density(
     step: float | None = None,
     x_min: float | None = None,
     x_max: float | None = None,
-    x_step: float | None = None,
     d_mod: int = DEFAULT_D_MOD,
     k_max: int = DEFAULT_K_MAX,
 ) -> DensityGrid:
-    """Limiting density on a grid by direct trapezoid Fourier inversion.
+    """Limiting density on a grid of spacing sd/50 by direct trapezoid Fourier inversion.
 
     The omitted components m > m_max enter as a Gaussian closure factor.
     error_budget bounds or estimates each source of error in p, pointwise;
@@ -217,8 +216,7 @@ def density(
         x_max = 8.0 * sd
     if step is None:
         step = min(1.0 / (4 * A), 1.0 / (4 * max(abs(x_min), abs(x_max))))
-    if x_step is None:
-        x_step = sd / 50.0
+    x_step = sd / 50.0
 
     n_sig = int(math.ceil(A / step))
     sigma = np.arange(-n_sig, n_sig + 1) * step
@@ -287,13 +285,13 @@ def _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd) -> float:
     raise CutoffError("could not find a cutoff with |Phi| < 1e-12")
 
 
-def cdf_and_moments(grid: DensityGrid, j_max: int = 3) -> dict:
-    """Trapezoid CDF (clipped monotone), power and |x|^lam moments, lam in (0, 2]."""
+def cdf_and_moments(grid: DensityGrid) -> dict:
+    """Trapezoid CDF (clipped monotone), power moments 0..3 and |x|^lam moments, lam in (0, 2]."""
     x, p = grid.x, grid.p
     pc = np.clip(p, 0.0, None)
     inc = (pc[1:] + pc[:-1]) / 2 * np.diff(x)
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
     trapz = getattr(np, "trapezoid", None) or np.trapz
-    moments = [float(trapz(x**j * p, x)) for j in range(j_max + 1)]
+    moments = [float(trapz(x**j * p, x)) for j in range(4)]
     abs_moments = {lam: float(trapz(np.abs(x) ** lam * p, x)) for lam in (0.5, 1, 1.5, 2)}
     return {"cdf": cdf, "moments": moments, "abs_moments": abs_moments}

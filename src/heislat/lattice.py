@@ -164,7 +164,10 @@ def _is_prime(n: int) -> bool:
 def sample_normalized_errors(
     q: int, tables: ArithTables, x_lo: int, x_hi: int, n_samples: int
 ) -> ErrorSample:
-    """Normalized error on an equispaced rational grid over [x_lo, x_hi]."""
+    """Normalized error on an equispaced rational grid over [x_lo, x_hi].
+
+    Samples that count_points_fast declines with BudgetError go to count_points.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     span = x_hi - x_lo
@@ -191,7 +194,10 @@ def sample_normalized_errors(
         j = round(i * slots / (n_samples - 1))
         num = nums[i] = x_lo * den + j
         g = math.gcd(num, den)
-        cnt = count_points_fast(q, tables, num // g, den // g)
+        try:
+            cnt = count_points_fast(q, tables, num // g, den // g)
+        except BudgetError:
+            cnt = count_points(q, tables, x=Fraction(num, den))
         xf = num / den
         xs[i] = xf
         errs[i] = (cnt - vol * xf ** (2 * q + 2)) / xf ** (2 * q - 1)

@@ -20,11 +20,10 @@ import numpy as np
 from .arithmetic import (
     BudgetError,
     _chi4_array,
+    _frak_branch,
     _rep_weight,
     eps_sign,
     frak_r,
-    r2_weighted,
-    r2_weighted_chi,
     two_square_reps,
     zeta_value,
 )
@@ -50,7 +49,7 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple:
     """Nonzero (d, k, frak_r) triples with gcd(k, d) = 1 in the box."""
     items = []
     for d in range(1, d_max + 1):
-        if d % 4 == 2:
+        if not _frak_branch(d, q)[0]:
             continue
         for k in range(1, k_max + 1):
             if math.gcd(k, d) != 1:
@@ -153,23 +152,17 @@ def q2_closed(
     """
     if component_vanishes(m):
         return MomentValue(0.0, 0.0, "closed2", {"vanishes": True})
-    s1 = 0.0
-    s2 = 0.0
+    moduli = [d for d in range(1, d_max + 1) if _frak_branch(d, q)[0]]
+    # the odd-d and the d = 0 mod 4 series of the closed form, summed apart
+    total = [0.0, 0.0]
     for k in range(1, k_max + 1):
         n = m * k * k
         reps = two_square_reps(n)
-        for d in range(1, d_max + 1, 2):
-            if math.gcd(d, n) != 1:
-                continue
-            w = r2_weighted(n, d, q, reps)
-            s1 += w * w / (d ** (2 * q - 3) * k**3)
-        for d in range(4, d_max + 1, 4):
-            if math.gcd(d, n) != 1:
-                continue
-            w = r2_weighted(n, d, q, reps) if q % 2 == 0 else r2_weighted_chi(n, d, q, reps)
-            s2 += w * w / (d ** (2 * q - 3) * k**3)
+        for d in moduli:
+            if math.gcd(d, n) == 1:
+                total[d % 2] += frak_r(n, d, q, reps) ** 2 / (d ** (2 * q - 3) * k**3)
     pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2 / m**1.5
-    value = pref * (s1 + 2 ** (2 * q) * s2)
+    value = pref * (total[1] + total[0])
     err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_max >= 4 and k_max >= 4:
         coarse = q2_closed(q, m, d_max // 2, k_max // 2, _estimate_error=False)
@@ -229,23 +222,27 @@ def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) 
     return MomentValue(total, err, "analytic-sum", {"per_m": per_m})
 
 
-def variance_series(q: int, n_limit: int = 200_000, d_max: int = 15) -> MomentValue:
+VARIANCE_N_LIMIT = 200_000
+
+
+def variance_series(q: int, d_max: int = 15) -> MomentValue:
     """Sum over all m of Q(m, 2) from the direct double series.
 
-    Computed by sieving all two-squares representations up to n_limit and
-    accumulating the weighted counts per modulus.  The n-tail estimate is
-    empirical (fitted log n / sqrt(n) shape); the d-tail uses the majorant.
-    The series is summed once per (q, n_limit, d_max); every call returns a
-    fresh MomentValue.
+    Computed by sieving all two-squares representations up to
+    VARIANCE_N_LIMIT and accumulating the weighted counts per modulus.  The
+    n-tail estimate is empirical (fitted log n / sqrt(n) shape); the d-tail
+    uses the majorant.  The series is summed once per (q, d_max); every
+    call returns a fresh MomentValue.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    value, err = _variance_series(q, n_limit, d_max)
-    return MomentValue(value, err, "direct-series", {"n_limit": n_limit, "d_max": d_max})
+    value, err = _variance_series(q, d_max)
+    return MomentValue(value, err, "direct-series", {"n_limit": VARIANCE_N_LIMIT, "d_max": d_max})
 
 
 @lru_cache(maxsize=None)
-def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
+def _variance_series(q: int, d_max: int) -> tuple[float, float]:
+    n_limit = VARIANCE_N_LIMIT
     amax = math.isqrt(n_limit)
     a_list, b_list = [], []
     for a in range(amax + 1):
@@ -260,26 +257,26 @@ def _variance_series(q: int, n_limit: int, d_max: int) -> tuple[float, float]:
     A, B, N = A[keep], B[keep], N[keep]
     mult = np.where(A > 0, 2.0, 1.0) * np.where(B > 0, 2.0, 1.0)
     W = mult * _rep_weight(A.astype(np.float64), N, q)
-    W_four = W if q % 2 == 0 else W * _chi4_array(A)
 
     half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
     n = np.arange(n_limit + 1, dtype=np.float64)
     n[0] = 1.0
     total = 0.0
     for d in range(1, d_max + 1):
-        if d % 4 == 2:
+        factor, twisted = _frak_branch(d, q)
+        if not factor:
             continue
         sel = B % d == 0
         r2d = np.zeros(n_limit + 1)
-        weights = W if (d % 2 or q % 2 == 0) else W_four
-        np.add.at(r2d, N[sel], weights[sel])
+        weights = W[sel] * _chi4_array(A[sel]) if twisted else W[sel]
+        np.add.at(r2d, N[sel], weights)
         coprime = np.ones(n_limit + 1, dtype=bool)
         for p in range(2, d + 1):  # every divisor p > 1 of d; primes would suffice
             if d % p == 0:
                 coprime[::p] = False
         terms = r2d[coprime] ** 2 * n[coprime] ** -1.5
         contrib = float(np.sum(terms))
-        total += (1 if d % 2 else 2 ** (2 * q)) * contrib / d ** (2 * q - 3)
+        total += factor**2 * contrib / d ** (2 * q - 3)
         if d == 1:
             sub_first = contrib
             octave = float(np.sum(terms[n_limit // 2 :]))

@@ -17,17 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import (
-    chi4,
+    _branch,
     has_prime_factor_3_mod_4,
     is_squarefree,
-    r2,
     r2_weighted,
     r2_weighted_chi,
     rho_chi_q,
     rho_q,
     two_square_reps,
-    xi,
-    zeta_value,
 )
 
 # term x point elements per block of _trig_sum.  On partial_sum_phi at 4000
@@ -161,23 +158,17 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
     if not component_vanishes(m):
         pref = amplitude_prefactor(q) * (1.0 / m**0.75)
         for d in range(1, d_max + 1):
-            # branch weight, representation count and phase of the modulus d
-            if q % 2 == 0:
-                branch, weight, isc = xi(d, q), r2_weighted, False
-            elif d % 2:
-                branch, weight, isc = chi4(d), r2_weighted, False
-            else:
-                branch = (d % 4 == 0) * (-1) ** ((q + 1) // 2) * 2**q
-                weight, isc = r2_weighted_chi, True
-            if not branch:
+            factor, twisted = _branch(d, q)
+            if not factor:
                 continue
+            weight = r2_weighted_chi if twisted else r2_weighted
             for k in range(1, k_max + 1):
                 w = weight(m * k * k, d, q, _reps_cached(m * k * k))
                 if w:
                     ks.append(k)
                     ds.append(d)
-                    coefs.append(pref * branch * w / (d ** (q - 1.5) * k**1.5))
-                    coss.append(isc)
+                    coefs.append(pref * factor * w / (d ** (q - 1.5) * k**1.5))
+                    coss.append(twisted)
     arrays = (np.array(ks, np.int64), np.array(ds, np.int64))
     arrays += (np.array(coefs, float), np.array(coss, bool))
     for arr in arrays:
@@ -185,66 +176,11 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
     return PhiTruncation(q, m, d_max, k_max, *arrays)
 
 
-@lru_cache(maxsize=None)
-def divisor_counts(limit: int) -> np.ndarray:
-    tau_arr = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau_arr[d::d] += 1
-    return tau_arr
-
-
-def _sum_tau_sq_partial(k_max: int) -> float:
-    tau_arr = divisor_counts(k_max)[1:].astype(np.float64)
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    return float(np.sum(tau_arr**2 / k**1.5))
-
-
-def _modulus_weight_sums(q: int, d_max: int) -> tuple[float, float]:
-    """(partial, tail) of sum over d of |branch weight| d^(3/2-q).
-
-    Branch weights: for even q, |xi(d;q)|; for odd q, |chi4(d)| on odd d and
-    2^q on d = 0 mod 4.  Full sums reduce to zeta values.
-    """
-    s = q - 1.5
-    z = zeta_value(s)
-    if q % 2 == 0:
-        full = (1 - 2.0**-s) * z  # d odd
-        full += abs(xi(2, q)) * 2.0**-s * (1 - 2.0**-s) * z  # d = 2 mod 4
-        full += abs(xi(4, q)) * 4.0**-s * z  # d = 0 mod 4
-        partial = sum(abs(xi(d, q)) * d**-s for d in range(1, d_max + 1))
-    else:
-        full = (1 - 2.0**-s) * z + 2**q * 4.0**-s * z
-        partial = 0.0
-        for d in range(1, d_max + 1):
-            if d % 2:
-                partial += d**-s
-            elif d % 4 == 0:
-                partial += 2**q * d**-s
-    return partial, max(full - partial, 0.0)
-
-
 def amplitude_prefactor(q: int) -> float:
     """Prefactor of the phi series (absolute value, both parities)."""
     if q % 2 == 0:
         return rho_q(q) / (2 * math.pi)
     return 2 ** (q - 2) * rho_chi_q(q) / math.pi
-
-
-def tail_bound_for(q: int, m: int, d_max: int, k_max: int) -> float:
-    """Bound on the sup-norm of the terms dropped by the (d_max, k_max) box.
-
-    Uses |r2(m k^2, d; q)| <= r2(m) tau(k)^2, valid for the contributing m
-    (squarefree, no prime factor 3 mod 4), and exact zeta expressions for
-    the completed k and d sums.
-    """
-    if component_vanishes(m):
-        return 0.0
-    k_full = zeta_value(1.5) ** 4 / zeta_value(3.0)  # sum of tau(k)^2 / k^(3/2)
-    k_part = _sum_tau_sq_partial(k_max)
-    k_tail = max(k_full - k_part, 0.0)
-    d_part, d_tail = _modulus_weight_sums(q, d_max)
-    dropped = d_part * k_tail + d_tail * k_full
-    return amplitude_prefactor(q) * r2(m) / m**0.75 * dropped
 
 
 def partial_sum_phi(q: int, M: int, x, d_max: int = 128, k_max: int = 128) -> np.ndarray:

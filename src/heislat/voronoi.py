@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithTables, _chi4_array, _rep_weight, chi4, rho_chi_q, rho_q, two_square_reps, xi
+from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, chi4, rho_chi_q, rho_q, two_square_reps
 from .lattice import sample_normalized_errors
 from .phi import _amplitudes, _trig_sum
 
@@ -169,8 +169,8 @@ def _turns(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum1_arrays(d: int, H: float, q: int, twist=None):
-    """Yield the (m, coef) rows of the first inner sum (n = 0 mod d) for one modulus d."""
+def _sum1_arrays(d: int, H: float, q: int, twisted: bool):
+    """Yield the (m, coef) rows of the first inner sum (n = 0 mod d), times chi4(h) if twisted."""
     h_max = math.floor(H)
     inv1 = 1.0 / (h_max + 1)
     kernel = tau(np.arange(1, h_max + 1) * inv1)
@@ -182,14 +182,14 @@ def _sum1_arrays(d: int, H: float, q: int, twist=None):
             w = _rep_weight(h, m, q) * kernel[max(n, 1) - 1 :]
             half = np.where((n == 0) | (h == n), 0.5, 1.0)
             t = w * half
-            if twist is not None:
-                t = t * twist(-h, n)
+            if twisted:
+                t = t * _chi4_array(h)
             yield m, t
         n += d
 
 
-def _sum2_arrays(d: int, H: float, q: int, twist=None):
-    """Yield the (m, coef) rows of the second inner sum (h = 0 mod d) for one modulus d."""
+def _sum2_arrays(d: int, H: float, q: int, twisted: bool):
+    """Yield the (m, coef) rows of the second inner sum (h = 0 mod d), times chi4(n) if twisted."""
     den2 = d * (math.floor(H / d) + 1)
     hs = np.arange(d, math.floor(H) + 1, d)
     kernel = tau(hs / den2)
@@ -199,8 +199,8 @@ def _sum2_arrays(d: int, H: float, q: int, twist=None):
         w = _rep_weight(n, m, q) * k
         half = np.where((n == 0) | (n == h), 0.5, 1.0)
         t = w * half
-        if twist is not None:
-            t = t * twist(n, h)
+        if twisted:
+            t = t * _chi4_array(n)
         yield m, t
 
 
@@ -208,33 +208,18 @@ def iter_S_rows(q: int, H: float):
     """Yield (freq, coef, is_cos) row batches of the S_{q,H} term list.
 
     Rows come out in ascending (d, h, n) order so that both the stored and
-    the streaming evaluation sum in a fixed order.  Only nonzero terms are
-    yielded: the n = 0 weights and the zeros of the chi4 twists are dropped.
+    the streaming evaluation sum in a fixed order.  Each modulus d takes its
+    (factor, twisted) from arithmetic._branch; twisted rows are the cosine
+    rows.  Only nonzero terms are yielded: the n = 0 weights and the zeros
+    of the chi4 twists are dropped.
     """
-    d_max = math.isqrt(math.floor(H))
-    if q % 2 == 0:
-        amp = 2 * rho_q(q)
-        for d in range(1, d_max + 1):
-            pref = amp * xi(d, q) / d ** (q - 1.5)
-            rows = itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q))
-            yield from _S_rows(rows, d, pref, False)
-    else:
-        ampc = rho_chi_q(q)
-        sin_amp = 2**q * ampc
-        cos_amp = (-1) ** ((q - 1) // 2) * 2 ** (2 * q - 1) * ampc
-        chi_h = lambda a, b: _chi4_array(a)
-        chi_n = lambda a, b: _chi4_array(-a)
-        for d in range(1, d_max + 1):
-            cd = chi4(d)
-            if cd:
-                pref = sin_amp * cd / d ** (q - 1.5)
-                rows = itertools.chain(_sum1_arrays(d, H, q), _sum2_arrays(d, H, q))
-                yield from _S_rows(rows, d, pref, False)
-            if d % 4 == 0:
-                # factor 2 from the twisted coefficient definition
-                pref = cos_amp * 2.0 / d ** (q - 1.5)
-                rows = itertools.chain(_sum1_arrays(d, H, q, twist=chi_h), _sum2_arrays(d, H, q, twist=chi_n))
-                yield from _S_rows(rows, d, pref, True)
+    amp = 2 * rho_q(q) if q % 2 == 0 else 2**q * rho_chi_q(q)
+    for d in range(1, math.isqrt(math.floor(H)) + 1):
+        factor, twisted = _branch(d, q)
+        if factor:
+            pref = amp * factor / d ** (q - 1.5)
+            rows = itertools.chain(_sum1_arrays(d, H, q, twisted), _sum2_arrays(d, H, q, twisted))
+            yield from _S_rows(rows, d, pref, twisted)
 
 
 def _S_rows(rows, d: int, pref: float, is_cos: bool):
@@ -271,23 +256,23 @@ def eval_S_streaming(q: int, H: float, x: np.ndarray) -> np.ndarray:
 def _T_rows(q: int, H: float):
     """Yield (freq, coef, is_cos) rows of the two q=3 tail sums, one d at a time.
 
-    Sine rows belong to t_chi and cosine rows to t_chi_upper; frequencies
-    are h/d over moduli sqrt(H) < d <= H and 1 <= h <= H/d.  Cosine rows
-    keep odd h only, where chi4(h) is nonzero.
+    Sine rows belong to t_chi and cosine (twisted) rows to t_chi_upper;
+    frequencies are h/d over moduli sqrt(H) < d <= H and 1 <= h <= H/d.
+    Cosine rows keep odd h only, where chi4(h) is nonzero.
     """
-    ampc = rho_chi_q(q)
-    sin_amp = 2 ** (q - 1) * ampc
-    cos_amp = (-1) ** ((q + 1) // 2) * 2 ** (2 * q - 1) * ampc
+    amp = 2 ** (q - 1) * rho_chi_q(q)
     for d in range(math.isqrt(math.floor(H)) + 1, math.floor(H) + 1):
+        factor, twisted = _branch(d, q)
+        if not factor:
+            continue
         h_top = math.floor(H / d)
         h = np.arange(1, h_top + 1)
         k = tau(h / (h_top + 1)) / (d ** (q - 1.5) * h**1.5)
-        cd = chi4(d)
-        if cd:
-            yield h / d, sin_amp * cd * k, False
-        if d % 4 == 0:
+        if twisted:
             odd = h % 2 == 1
-            yield h[odd] / d, cos_amp * _chi4_array(h[odd]) * k[odd], True
+            yield h[odd] / d, amp * factor * _chi4_array(h[odd]) * k[odd], True
+        else:
+            yield h / d, amp * factor * k, False
 
 
 @dataclass

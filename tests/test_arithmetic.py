@@ -8,6 +8,8 @@ import pytest
 
 from heislat.arithmetic import (
     BudgetError,
+    _branch,
+    _frak_branch,
     build_r2q_prefix,
     chi4,
     eps_sign,
@@ -24,7 +26,6 @@ from heislat.arithmetic import (
     rho_q,
     save_tables,
     two_square_reps,
-    xi,
     zeta_value,
 )
 
@@ -88,9 +89,27 @@ def test_frak_r_vanishes_for_d_2_mod_4():
                 assert frak_r(m, d, q) == 0.0
 
 
+# (factor, twisted) of _branch and of _frak_branch for d = 1, 2, 3, 0 mod 4;
+# the even-q _branch factors are xi(d; q)
+BRANCH_TABLE = {
+    3: [((1, False), (1, False)), ((0, False), (0, False)), ((-1, False), (-1, False)), ((8, True), (-8, True))],
+    4: [((1, False), (1, False)), ((-1, False), (0, False)), ((1, False), (1, False)), ((15, False), (16, False))],
+    5: [((1, False), (1, False)), ((0, False), (0, False)), ((-1, False), (-1, False)), ((-32, True), (32, True))],
+    6: [((1, False), (1, False)), ((1, False), (0, False)), ((1, False), (1, False)), ((-63, False), (-64, False))],
+}
+
+
+@pytest.mark.parametrize("q", sorted(BRANCH_TABLE))
+def test_modulus_branches_match_table(q):
+    for d in range(1, 17):
+        branch, frak = BRANCH_TABLE[q][(d - 1) % 4]
+        assert _branch(d, q) == branch, d
+        assert _frak_branch(d, q) == frak, d
+
+
 def test_xi_and_eps_sign_basic():
     for q in (4, 6):
-        assert xi(1, q) == 1
+        assert _branch(1, q) == (1, False)  # xi(1; q) = 1
         assert abs(eps_sign(1, q)) == 1
     for d in (1, 3, 4, 5, 8):
         for q in (3, 4, 5):

@@ -99,3 +99,17 @@ def test_sample_normalized_errors(tables_q3_small):
     i = 7
     direct = normalized_error(3, tables_q3_small, x=Fraction(res.x[i]).limit_denominator(10**12))
     assert res.err[i] == pytest.approx(direct, rel=1e-9)
+
+
+def test_sampler_falls_back_to_exact_count(tables_q3_small, monkeypatch):
+    # every sample the float64 kernel declines is recounted on Python integers
+    want = sample_normalized_errors(3, tables_q3_small, 2, 4, 20)
+
+    def declines(*args):
+        raise BudgetError("x^4 too large for the float64 counting path")
+
+    monkeypatch.setattr("heislat.lattice.count_points_fast", declines)
+    got = sample_normalized_errors(3, tables_q3_small, 2, 4, 20)
+    assert got.den == want.den
+    for field in ("x", "err", "num"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()

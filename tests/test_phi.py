@@ -10,7 +10,6 @@ from heislat.phi import (
     build_phi,
     component_vanishes,
     partial_sum_phi,
-    tail_bound_for,
 )
 
 
@@ -117,14 +116,6 @@ def test_truncation_converges_in_d():
     fine = build_phi(3, 1, 64, 64)(t)
     finer = build_phi(3, 1, 128, 64)(t)
     assert np.max(np.abs(finer - fine)) < np.max(np.abs(finer - coarse))
-
-
-def test_tail_bound_decreasing():
-    for q, m in [(3, 1), (4, 5)]:
-        b1 = tail_bound_for(q, m, 8, 64)
-        b2 = tail_bound_for(q, m, 32, 64)
-        b3 = tail_bound_for(q, m, 128, 64)
-        assert b1 > b2 > b3 >= 0
 
 
 def test_partial_sum_finite_and_additive():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heislat.arithmetic import build_r2q_prefix, chi4, rho_chi_q, rho_q, xi
+from heislat.arithmetic import build_r2q_prefix, chi4, rho_chi_q, rho_q
 from heislat.lattice import sample_normalized_errors
 from heislat.phi import _amplitudes, _trig_sum
 from heislat.voronoi import (
@@ -77,7 +77,10 @@ def test_rows_match_scalar_coefficients():
         oracle = {False: {}, True: {}}
         for d in range(1, d_max + 1):
             if q % 2 == 0:
-                parts = [(False, 2 * rho_q(q) * xi(d, q), coeff_aH)]
+                # xi(d; q): 1 on odd d, else -s, plus s 2^q on d = 0 mod 4
+                s = -1 if (q // 2) % 2 else 1
+                xi = 1 if d % 2 else -s + (s * 2**q if d % 4 == 0 else 0)
+                parts = [(False, 2 * rho_q(q) * xi, coeff_aH)]
             else:
                 parts = [(False, 2**q * rho_chi_q(q) * chi4(d), coeff_aH)]
                 if d % 4 == 0:
