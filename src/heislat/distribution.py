@@ -65,23 +65,41 @@ def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int):
 
     S[r, j] sums (phi - c_j)^r, r <= 3, over bin j, centred at c_j = c0 + j w; empty
     bins stay.  |phi - c_j| <= w/2 bounds the cubic Taylor remainder by (|u| w/2)^4 / 24.
+
+    A prime p > d_mod / 2 divides no modulus d <= d_mod but p, so the spectrum
+    splits into the lone part (denominators such p) and the coupled rest, with
+    coprime periods P_l and P_c.  With n points per unit t, phi(i/n + r) is the
+    sum of the two parts' grids at rows r mod P_c and r mod P_l: by the Chinese
+    remainder theorem each point of the period grid is one (row, row) pair,
+    exactly.  The grid is binned block by block, one row of the shorter part
+    added to the whole longer one, so memory stays O(max(P_c, P_l) n); the bin
+    range is exact, since rounded addition is monotone.
     """
     trunc = build_phi(q, m, d_mod, k_max)
-    n_points = trunc.period * _points_per_unit(k_max, refine)
-    if n_points > 2**26:
-        raise BudgetError("period grid too large; lower d_mod or the refinement")
-    vals = trunc.grid_values(n_points)
-    lo = float(vals.min())
-    width = max(float(vals.max()) - lo, 1e-12) / N_BINS
-    idx = ((vals - lo) / width).astype(np.int64)
-    np.minimum(idx, N_BINS - 1, out=idx)
+    n = _points_per_unit(k_max, refine)
+    den = trunc.spectrum()[1]
+    primes = [p for p in range(2, d_mod + 1) if 2 * p > d_mod and all(p % r for r in range(2, p))]
+    lone = np.isin(den, primes)
+    parts = (~lone, lone)
+    periods = [math.lcm(1, *den[part].tolist()) for part in parts]
+    if max(periods) * n > 2**26:
+        raise BudgetError("period grid block too large; lower d_mod or the refinement")
+    grids = [trunc.grid_values(P * n, part).reshape(P, n) for P, part in zip(periods, parts)]
+    small, big = sorted(grids, key=len)
+    lo = float((big.min(axis=0) + small.min(axis=0)).min())
+    width = max(float((big.max(axis=0) + small.max(axis=0)).max()) - lo, 1e-12) / N_BINS
     centers = lo + (np.arange(N_BINS) + 0.5) * width
-    # the grid is not needed after binning: reuse it, one grid-sized array fewer
-    dev = np.subtract(vals, centers[idx], out=vals)
-    sq = dev * dev
-    s = [np.bincount(idx, w, N_BINS) for w in (None, dev, sq)]
-    s.append(np.bincount(idx, np.multiply(sq, dev, out=sq), N_BINS))
-    return centers[0], np.stack(s), n_points, width
+    s = np.zeros((4, N_BINS))
+    for row in small:
+        vals = (big + row).ravel()
+        idx = ((vals - lo) / width).astype(np.int64)
+        np.minimum(idx, N_BINS - 1, out=idx)
+        # the block is not needed after binning: reuse it, one block-sized array fewer
+        dev = np.subtract(vals, centers[idx], out=vals)
+        sq = dev * dev
+        s[:3] += [np.bincount(idx, w, N_BINS) for w in (None, dev, sq)]
+        s[3] += np.bincount(idx, np.multiply(sq, dev, out=sq), N_BINS)
+    return centers[0], s, trunc.period * n, width
 
 
 def _factor_from_bins(u, bins) -> np.ndarray:

@@ -179,7 +179,7 @@ def q_ergodic(
     (PhiTruncation.spectrum) is sum a/2 e^{2 pi i f t} + conj(a)/2 e^{-2 pi i f t},
     so the mean of phi^l is the zero bin (_zero_bin, default budget of
     q_analytic, so BudgetError at l >= 5 in the default box) of the l-fold
-    convolution of this two-sided spectrum, in exact units of 1/lcm(1..d_mod).
+    convolution of this two-sided spectrum, in exact units of 1/period of phi_m.
     The error estimate adds twice the change against a coarser component.
     """
     if ell < 1:

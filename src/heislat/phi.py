@@ -4,8 +4,9 @@ For each squarefree m free of prime factors p = 3 mod 4 there is a component
 phi_m(t): a double series over moduli d and integers k of phases
 sin/cos(2 pi (k/d) t - pi/4) weighted by representation counts of m k^2.
 Truncated at d <= d_max the component is a trigonometric polynomial with
-exact rational frequencies k/d and period lcm(1..d_max); its terms merge
-into one spectrum, which its evaluators and the ergodic moments read.
+exact rational frequencies k/d; its terms merge into one spectrum, which its
+evaluators and the ergodic moments read, and its period is the lcm of the
+spectrum's denominators, for every m > 1 far below lcm(1..d_max).
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class PhiTruncation:
 
     @property
     def period(self) -> int:
-        return math.lcm(*range(1, self.d_max + 1))
+        """The lcm of the spectrum's denominators, an integer period of phi."""
+        return math.lcm(1, *self.spectrum()[1].tolist())
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct reduced frequencies num/den and merged amplitudes a.
@@ -115,25 +117,25 @@ class PhiTruncation:
         out = _trig_sum(num / den, a, t)
         return out[0] if scalar else out
 
-    def grid_values(self, n_points: int) -> np.ndarray:
-        """Values at t_j = j * period / n_points for j = 0..n_points-1.
+    def grid_values(self, n_points: int, part=slice(None)) -> np.ndarray:
+        """Values of the spectrum()[part] sum at t_j = j * P / n_points, j < n_points.
 
-        n_points must be a multiple of the period; frequency num/den then
-        sits on the integer bin f = num * period / den with its amplitude
-        from spectrum(), and the grid is the real part of an inverse DFT of
-        length n_points, exact for aliased bins too.  It runs as r inverse
-        FFTs of length M = n_points / r, so the working memory stays O(M):
-        samples j = c (mod r) see bin f at f mod M with the phase
-        exp(2 pi i f c / n_points).
+        P = lcm(1, *den[part]) is the part's own period (self.period for the
+        whole spectrum) and n_points must be a multiple of it; frequency
+        num/den then sits on the integer bin f = num * P / den, and the grid
+        is the real part of an inverse DFT of length n_points, exact for
+        aliased bins too.  It runs as r inverse FFTs of length M = n_points / r,
+        so the working memory stays O(M): samples j = c (mod r) see bin f at
+        f mod M with the phase exp(2 pi i f c / n_points).
         """
-        P = self.period
+        num, den, z = (arr[part] for arr in self.spectrum())
+        P = math.lcm(1, *den.tolist())
         if n_points % P:
             raise ValueError("n_points must be a multiple of the period")
         r = 1
         while n_points % (2 * r) == 0 and n_points // (2 * r) >= 2**15:
             r *= 2
         M = n_points // r
-        num, den, z = self.spectrum()
         f = num * (P // den) % n_points
         bins = f % M
         out = np.empty(n_points)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heislat import distribution
+from heislat.arithmetic import BudgetError
 from heislat.distribution import (
     CutoffError,
     cdf_and_moments,
@@ -16,6 +17,7 @@ from heislat.distribution import (
     density,
     tail_variance_estimate,
 )
+from heislat.phi import build_phi
 
 # the half sigma grid of density(3) at its defaults, and criterion 6's scattered +-sigma
 HALF_GRID = np.arange(85) * 0.004264855625138066
@@ -80,6 +82,59 @@ def test_quadrature_bound_holds_against_finer_grid(m, u):
     gap = abs(distribution._factor_from_bins(u, coarse) - distribution._factor_from_bins(u, fine))[0]
     taylor = sum((u * bins[-1] / 2) ** 4 / 24 for bins in (coarse, fine))
     assert gap <= bound + taylor + 1e-15
+
+
+def full_grid_bins(q, m, d_mod, k_max, refine):
+    # the whole period grid from one FFT, binned at once
+    trunc = build_phi(q, m, d_mod, k_max)
+    n_points = trunc.period * distribution._points_per_unit(k_max, refine)
+    vals = trunc.grid_values(n_points)
+    lo = float(vals.min())
+    width = max(float(vals.max()) - lo, 1e-12) / distribution.N_BINS
+    idx = np.minimum(((vals - lo) / width).astype(np.int64), distribution.N_BINS - 1)
+    dev = vals - (lo + (idx + 0.5) * width)
+    s = np.stack([np.bincount(idx, dev**r, distribution.N_BINS) for r in range(4)])
+    return lo + 0.5 * width, s, n_points, width
+
+
+@pytest.mark.parametrize(
+    "m, refine", [(1, 1), (2, 2), (13, 2)], ids=["lone-5-7", "no-coupled", "no-lone"]
+)
+def test_crt_bins_match_full_grid(m, refine):
+    # phi_1 splits into a coupled part of period 24 and lone primes 5 and 7;
+    # phi_2's spectrum past den 1 is den 7; phi_13's denominators 1 and 3
+    # hold no lone prime, so its grid is one block
+    got = distribution._phi_bins(3, m, 8, 64, refine)
+    want = full_grid_bins(3, m, 8, 64, refine)
+    assert got[2] == want[2]
+    assert got[0] == pytest.approx(want[0], abs=1e-13)
+    assert got[3] == pytest.approx(want[3], rel=1e-13)
+    # no value sits within rounding of a bin edge, so the counts agree exactly;
+    # each centred power moves by the rounding of the values it sums
+    assert np.array_equal(got[1][0], want[1][0])
+    for r in (1, 2, 3):
+        bound = want[1][0] * r * (want[3] / 2) ** (r - 1) * 1e-13
+        assert np.all(np.abs(got[1][r] - want[1][r]) <= bound)
+    u = 2 * np.pi * np.concatenate([HALF_GRID, SCATTERED])
+    gap = distribution._factor_from_bins(u, got) - distribution._factor_from_bins(u, want)
+    assert np.max(np.abs(gap)) <= 1e-14
+
+
+def test_crt_bins_past_the_full_grid_cap():
+    # phi_1 at d_mod 16 has period 720720: 92M points at 128 per unit, over
+    # the 2^26 a single grid may hold, binned as 143 blocks of 5040 * 128
+    tracemalloc.start()
+    try:
+        c0, s, n_points, width = distribution._phi_bins.__wrapped__(3, 1, 16, 32, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_points == 720720 * 128 > 2**26
+    assert s[0].sum() == n_points
+    assert peak < 64 * 2**20
+    # a block over the cap still raises: 5040 * 16384 points at refine 6
+    with pytest.raises(BudgetError):
+        distribution._phi_bins(3, 1, 16, 64, 6)
 
 
 @pytest.mark.parametrize("m", [1, 13])

@@ -81,6 +81,20 @@ def test_ergodic_budget_raises():
         q_ergodic(3, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "m, ergodic, analytic",
+    [(1, -81.64058876137494, -78.77074000758722), (5, -9.479070718691084, -9.311244783317957)],
+)
+def test_third_moment_pinned(m, ergodic, analytic):
+    # stored Q(m, 3) at box (8, 8).  q_ergodic counts frequencies in units of
+    # 1 / period of phi_m: 840 for m = 1, 1 for m = 5.  Negating _frak_branch
+    # on d = 0 mod 4 moves the analytic Q(1, 3) to -87.55; the error bars of
+    # both routes are too wide for a cross-route check to see that
+    got = q_ergodic(3, m, 3, 8, 8, _estimate_error=False).value
+    assert got == pytest.approx(ergodic, rel=1e-12)
+    assert q_analytic(3, m, 3, 8, 8).value == pytest.approx(analytic, rel=1e-12)
+
+
 def test_second_moments_positive_errors_finite():
     for q in (3, 4):
         for m in (1, 2, 5, 13):

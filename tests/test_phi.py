@@ -79,9 +79,20 @@ def test_build_phi_shared_and_read_only():
 
 def test_truncation_period():
     trunc = build_phi(3, 1, 4, 8)
-    assert trunc.period == 12  # lcm(1..4)
+    assert trunc.period == 12  # lcm of the denominators 1, 3 and 4
     t = np.linspace(0, 12, 37)
     assert np.max(np.abs(trunc(t) - trunc(t + 12))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "q, m, d_max, k_max, period", [(3, 1, 12, 64, 27720), (3, 34, 12, 64, 495), (3, 41, 8, 64, 40)]
+)
+def test_period_is_own(q, m, d_max, k_max, period):
+    # each component's period is the lcm of its own denominators, a divisor
+    # of lcm(1..d_max) and for m > 1 far below it
+    trunc = build_phi(q, m, d_max, k_max)
+    assert trunc.period == period
+    assert math.lcm(*range(1, d_max + 1)) % period == 0
 
 
 def test_grid_values_match_pointwise():
