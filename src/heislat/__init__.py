@@ -37,7 +37,6 @@ from .voronoi import (
     GapReport,
     VoronoiCoefficients,
     build_S_terms,
-    coeff_aH,
     gap_report,
     mean_square_gap,
     tau,

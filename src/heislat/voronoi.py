@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, chi4, rho_chi_q, rho_q, two_square_reps
+from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, rho_chi_q, rho_q
 from .lattice import sample_normalized_errors
 from .phi import _amplitudes, _trig_sum
 
@@ -34,49 +34,11 @@ def tau(t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _rep_pairs(m: int, h_cap: float):
-    """Pairs (n, h) with n^2 + h^2 = m, 0 <= n <= h, 1 <= h <= h_cap.
-
-    Yields (n, h, edge) where edge marks n = 0 or n = h (half weight).
-    """
-    for n, h in two_square_reps(m):
-        if n <= h and 1 <= h <= h_cap:
-            yield n, h, (n == 0 or n == h)
-
-
-def coeff_aH(q: int, m: int, d: int, H: float) -> float:
-    """Smoothed representation coefficient with the tau kernel."""
-    inv1 = 1.0 / (math.floor(H) + 1)
-    den2 = d * (math.floor(H / d) + 1)
-    total = 0.0
-    for n, h, edge in _rep_pairs(m, H):
-        half = 0.5 if edge else 1.0
-        if n % d == 0:
-            total += half * tau(h * inv1) * _rep_weight(h, m, q)
-        if h % d == 0:
-            total += half * tau(h / den2) * _rep_weight(n, m, q)
-    return total / m**0.75
-
-
-def coeff_aH_chi(q: int, m: int, d: int, H: float) -> float:
-    """Character-twisted coefficient (factor 2, chi4(-h) and chi4(-n))."""
-    inv1 = 1.0 / (math.floor(H) + 1)
-    den2 = d * (math.floor(H / d) + 1)
-    total = 0.0
-    for n, h, edge in _rep_pairs(m, H):
-        half = 0.5 if edge else 1.0
-        if n % d == 0:
-            total += half * chi4(-h) * tau(h * inv1) * _rep_weight(h, m, q)
-        if h % d == 0:
-            total += half * chi4(-n) * tau(h / den2) * _rep_weight(n, m, q)
-    return 2.0 * total / m**0.75
-
-
 @dataclass
 class VoronoiCoefficients:
     """Immutable term list for one (q, H): frequencies sqrt(m)/d and weights.
 
-    Terms are assembled in ascending (d, h, n) order, so repeated builds
+    Terms are assembled in ascending (d, m) order, so repeated builds
     produce bit-identical sums.
     """
 
@@ -169,66 +131,112 @@ def _turns(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum1_arrays(d: int, H: float, q: int, twisted: bool):
-    """Yield the (m, coef) rows of the first inner sum (n = 0 mod d), times chi4(h) if twisted."""
+_S_WINDOW = 16384
+
+
+class _Sweep:
+    """Weighted pairs (f, v), v_lo <= v <= v_hi on each line f, taken in ascending windows of m = f^2 + v^2.
+
+    The pair weighs _rep_weight(v, m, q), plus _rep_weight(f, m, q) if both,
+    times line_w[line] and v_w[v] where given.  f ascends, and so do the
+    least and the largest m of each line, so the lines that reach a window
+    are one slice.  cur holds each line's next v.
+    """
+
+    def __init__(self, q, f, v_lo, v_hi, line_w=None, v_w=None, both=False):
+        self.q, self.f, self.ff, self.cur, self.v_end = q, f, f * f, v_lo.copy(), v_hi + 1
+        self.m_lo, self.m_hi = self.ff + v_lo * v_lo, self.ff + v_hi * v_hi
+        self.line_w, self.v_w, self.both = line_w, v_w, both
+
+    def take(self, A: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, weight) of the pairs with A <= m < B, by line and then v; all m < A are taken."""
+        i0, i1 = np.searchsorted(self.m_hi, A), np.searchsorted(self.m_lo, B)
+        cur = self.cur[i0:i1]
+        # each line of the slice has f^2 + v_lo^2 < B; below 2^52 the float sqrt floors exactly
+        end = np.minimum(np.sqrt(B - 1 - self.ff[i0:i1]).astype(np.int64) + 1, self.v_end[i0:i1])
+        size = end - cur
+        start = np.cumsum(size) - size
+        v = np.arange(start[-1] + size[-1] if len(size) else 0) - np.repeat(start - cur, size)
+        self.cur[i0:i1] = end
+        m = np.repeat(self.ff[i0:i1], size) + v * v
+        t = _rep_weight(v, m, self.q)
+        if self.both:
+            t += _rep_weight(np.repeat(self.f[i0:i1], size), m, self.q)
+        if self.line_w is not None:
+            t *= np.repeat(self.line_w[i0:i1], size)
+        if self.v_w is not None:
+            t *= self.v_w[v]
+        return m, t
+
+
+def _S_windows(d: int, H: float, q: int, twisted: bool):
+    """Yield (m, t) rows of modulus d, one per window of m: each m once, in ascending order,
+    with t the sum of its representation weights over both inner sums; zero sums are dropped.
+
+    The first sum runs over n = 0 mod d and n <= h <= floor(H), h >= 1, with kernel
+    k1(h) = tau(h/(floor(H) + 1)); the second over h = 0 mod d and 0 <= n <= h, with
+    kernel k2(h) = tau(h/den2).  Both halve the pairs with n = 0 or n = h, and weigh
+    (n, h) by _rep_weight of the free coordinate, times chi4 of it if twisted.  The
+    halved pairs are listed once per modulus: (0, h) weighs k1(h)/2 (the second sum
+    gives it weight 0), and (h, h) with d | h weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The
+    other pairs go in sweeps: the lines n = 0 mod d and h = 0 mod d, or at d = 1, where
+    the two sums share their pairs and their kernel, one sweep with both weights.  Below
+    floor(H)^2 a sweep has about pi (B - A)/(8d) pairs with m in [A, B), and fewer
+    above, so a window of width 8 d _S_WINDOW/(pi sweeps) holds about _S_WINDOW pairs
+    at most.
+    """
     h_max = math.floor(H)
-    inv1 = 1.0 / (h_max + 1)
-    kernel = tau(np.arange(1, h_max + 1) * inv1)
-    n = 0
-    while n <= h_max:
-        h = np.arange(max(n, 1), h_max + 1, dtype=np.int64)
-        if len(h):
-            m = n * n + h * h
-            w = _rep_weight(h, m, q) * kernel[max(n, 1) - 1 :]
-            half = np.where((n == 0) | (h == n), 0.5, 1.0)
-            t = w * half
-            if twisted:
-                t = t * _chi4_array(h)
-            yield m, t
-        n += d
-
-
-def _sum2_arrays(d: int, H: float, q: int, twisted: bool):
-    """Yield the (m, coef) rows of the second inner sum (h = 0 mod d), times chi4(n) if twisted."""
-    den2 = d * (math.floor(H / d) + 1)
-    hs = np.arange(d, math.floor(H) + 1, d)
-    kernel = tau(hs / den2)
-    for h, k in zip(hs.tolist(), kernel.tolist()):
-        n = np.arange(0, h + 1, dtype=np.int64)
-        m = n * n + h * h
-        w = _rep_weight(n, m, q) * k
-        half = np.where((n == 0) | (n == h), 0.5, 1.0)
-        t = w * half
-        if twisted:
-            t = t * _chi4_array(n)
-        yield m, t
+    h_all = np.arange(h_max + 1)
+    k1 = tau(h_all / (h_max + 1))
+    k2 = tau(h_all / (d * (math.floor(H / d) + 1)))
+    chi = _chi4_array(h_all) if twisted else np.ones(h_max + 1)
+    lines = h_all[d::d]
+    diag = 2 * lines * lines
+    edge_m = np.concatenate([h_all[1:] ** 2, diag])
+    edge_t = 0.5 * np.concatenate([k1[1:] * chi[1:], _rep_weight(lines, diag, q) * (k1 + k2)[lines] * chi[lines]])
+    order = np.argsort(edge_m)
+    edge_m, edge_t = edge_m[order], edge_t[order]
+    if d == 1:
+        sweeps = [_Sweep(q, lines, np.ones_like(lines), lines - 1, line_w=k1[1:], both=True)]
+    else:
+        sweeps = [
+            _Sweep(q, lines, lines + 1, np.full(len(lines), h_max), v_w=k1 * chi),
+            _Sweep(q, lines, np.ones_like(lines), lines - 1, line_w=k2[lines], v_w=chi if twisted else None),
+        ]
+    width = math.ceil(8 * d * _S_WINDOW / (math.pi * len(sweeps)))
+    for A in range(1, 2 * h_max * h_max + 1, width):
+        e0, e1 = np.searchsorted(edge_m, (A, A + width))
+        parts = [(edge_m[e0:e1], edge_t[e0:e1])] + [sweep.take(A, A + width) for sweep in sweeps]
+        m, t = (np.concatenate(p) for p in zip(*parts))
+        if not len(m):
+            continue
+        # sort on the unique key (m - A, position): any sort then gives one order of summation
+        bits = len(m).bit_length()
+        key = np.sort((m - A) << bits | np.arange(len(m)))
+        m, t = A + (key >> bits), t[key & ((1 << bits) - 1)]
+        first = np.concatenate([[True], m[1:] != m[:-1]])
+        m, t = m[first], np.bincount(np.cumsum(first) - 1, t)
+        keep = t != 0.0
+        yield m[keep], t[keep]
 
 
 def iter_S_rows(q: int, H: float):
-    """Yield (freq, coef, is_cos) row batches of the S_{q,H} term list.
+    """Yield (freq, coef, is_cos) row batches of the S_{q,H} term list, one term per (d, m).
 
-    Rows come out in ascending (d, h, n) order so that both the stored and
-    the streaming evaluation sum in a fixed order.  Each modulus d takes its
-    (factor, twisted) from arithmetic._branch; twisted rows are the cosine
-    rows.  Only nonzero terms are yielded: the n = 0 weights and the zeros
-    of the chi4 twists are dropped.
+    Rows come out in ascending (d, m) order, so that both the stored and
+    the streaming evaluation sum in a fixed order.  The coefficient of
+    sqrt(m)/d sums every representation m = n^2 + h^2 of both inner sums.
+    Each modulus d takes its (factor, twisted) from arithmetic._branch;
+    twisted rows are the cosine rows.  Only nonzero terms are yielded.
     """
     amp = 2 * rho_q(q) if q % 2 == 0 else 2**q * rho_chi_q(q)
     for d in range(1, math.isqrt(math.floor(H)) + 1):
         factor, twisted = _branch(d, q)
         if factor:
             pref = amp * factor / d ** (q - 1.5)
-            rows = itertools.chain(_sum1_arrays(d, H, q, twisted), _sum2_arrays(d, H, q, twisted))
-            yield from _S_rows(rows, d, pref, twisted)
-
-
-def _S_rows(rows, d: int, pref: float, is_cos: bool):
-    """Turn (m, t) rows of modulus d into (freq, coef, is_cos) rows of their nonzero terms."""
-    for m, t in rows:
-        keep = t != 0.0
-        if keep.any():
-            m = m[keep]
-            yield np.sqrt(m.astype(np.float64)) / d, pref * t[keep] / m**0.75, is_cos
+            for m, t in _S_windows(d, H, q, twisted):
+                root = np.sqrt(m)
+                yield root / d, pref * t / (root * np.sqrt(root)), twisted
 
 
 def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
@@ -242,7 +250,7 @@ def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
 def eval_S_streaming(q: int, H: float, x: np.ndarray) -> np.ndarray:
     """S_{q,H}(x) without materializing the full term list.
 
-    Memory stays bounded by one row (at most floor(H) terms), which matters
+    Memory stays bounded by one row (about _S_WINDOW terms at most), which matters
     for large H where the list holds tens of millions of terms.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -2,26 +2,56 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heislat.arithmetic import build_r2q_prefix, chi4, rho_chi_q, rho_q
+from heislat import voronoi
+from heislat.arithmetic import _branch, _rep_weight, build_r2q_prefix, chi4, rho_chi_q, rho_q, two_square_reps
 from heislat.lattice import sample_normalized_errors
 from heislat.phi import _amplitudes, _trig_sum
 from heislat.voronoi import (
     _CHIRP_BLOCK,
+    _S_windows,
     _T_rows,
     _chirp_sum,
     build_S_terms,
-    coeff_aH,
-    coeff_aH_chi,
     eval_S_streaming,
     gap_report,
     iter_S_rows,
     mean_square_gap,
     tau,
 )
+
+
+def _rep_pairs(m: int, h_cap: float):
+    """Pairs (n, h) with n^2 + h^2 = m, 0 <= n <= h, 1 <= h <= h_cap, and whether they count half."""
+    for n, h in two_square_reps(m):
+        if n <= h and 1 <= h <= h_cap:
+            yield n, h, (n == 0 or n == h)
+
+
+def coeff_aH(q: int, m: int, d: int, H: float, twist=lambda a: 1) -> float:
+    """Scalar oracle of the smoothed representation coefficient with the tau kernel.
+
+    With twist=chi4 each representation carries chi4 of its free coordinate.
+    """
+    inv1 = 1.0 / (math.floor(H) + 1)
+    den2 = d * (math.floor(H / d) + 1)
+    total = 0.0
+    for n, h, edge in _rep_pairs(m, H):
+        half = 0.5 if edge else 1.0
+        if n % d == 0:
+            total += half * twist(h) * tau(h * inv1) * _rep_weight(h, m, q)
+        if h % d == 0:
+            total += half * twist(n) * tau(h / den2) * _rep_weight(n, m, q)
+    return total / m**0.75
+
+
+def coeff_aH_chi(q: int, m: int, d: int, H: float) -> float:
+    """Character-twisted coefficient (factor 2, chi4(-h) and chi4(-n))."""
+    return 2.0 * coeff_aH(q, m, d, H, twist=lambda a: chi4(-a))
 
 
 def test_tau_reference_values():
@@ -98,6 +128,91 @@ def test_rows_match_scalar_coefficients():
             assert set(got) <= set(want)
             for key, val in want.items():
                 assert abs(got.get(key, 0.0) - val) <= 1e-14 * (1 + abs(val)), (q, is_cos, key)
+
+
+def _unmerged_terms(q, H):
+    """(d, m) -> sum of the per-representation terms, by a scalar loop over both inner sums.
+
+    Keys whose every term is 0 (n = 0 in the second sum, the zeros of chi4) are left out.
+    """
+    amp = 2 * rho_q(q) if q % 2 == 0 else 2**q * rho_chi_q(q)
+    h_max = math.floor(H)
+    out = {}
+    for d in range(1, math.isqrt(h_max) + 1):
+        factor, twisted = _branch(d, q)
+        if not factor:
+            continue
+        pref = amp * factor / d ** (q - 1.5)
+        den2 = d * (math.floor(H / d) + 1)
+        for h in range(1, h_max + 1):
+            for n in range(h + 1):
+                m = n * n + h * h
+                half = 0.5 if n in (0, h) else 1.0
+                reps = [(h, tau(h / (h_max + 1)))] if n % d == 0 else []
+                reps += [(n, tau(h / den2))] if h % d == 0 else []
+                for free, kernel in reps:
+                    t = half * kernel * _rep_weight(free, m, q) * (chi4(free) if twisted else 1)
+                    if t:
+                        out[(d, m)] = out.get((d, m), 0.0) + pref * t / m**0.75
+    return out
+
+
+@pytest.mark.parametrize("window", [None, 8])
+def test_each_modulus_yields_each_m_once(monkeypatch, window):
+    if window:
+        monkeypatch.setattr(voronoi, "_S_WINDOW", window)
+    for q in (3, 4, 5):
+        for d in range(1, math.isqrt(60) + 1):
+            factor, twisted = _branch(d, q)
+            if factor:
+                m = np.concatenate([m for m, _ in _S_windows(d, 60.0, q, twisted)])
+                assert np.all(np.diff(m) > 0), (q, d)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_merged_rows_equal_unmerged_sums(q):
+    # one term per (d, m) in ascending (d, m) order, whose coefficient is the
+    # sum of the unmerged per-representation terms
+    H = 30.0
+    want = _unmerged_terms(q, H)
+    keys = sorted(want)
+    rows = list(iter_S_rows(q, H))
+    freq = np.concatenate([f for f, _, _ in rows])
+    coef = np.concatenate([c for _, c, _ in rows])
+    assert len(freq) == len(keys)
+    assert np.allclose(freq, [math.sqrt(m) / d for d, m in keys], rtol=1e-15, atol=0)
+    ref = np.array([want[k] for k in keys])
+    assert np.all(np.abs(coef - ref) <= 1e-14 * (1 + np.abs(ref)))
+    # cosine rows come from the twisted moduli d = 0 mod 4 of odd q
+    is_cos = np.concatenate([np.full(len(f), c) for f, _, c in rows])
+    assert np.array_equal(is_cos, [q % 2 == 1 and d % 4 == 0 for d, _ in keys])
+
+
+def test_window_size_leaves_gap_unchanged(tables_q3, monkeypatch):
+    base = gap_report(3, tables_q3, 10, n_samples=40)
+    monkeypatch.setattr(voronoi, "_S_WINDOW", 8)
+    tiny = gap_report(3, tables_q3, 10, n_samples=40)
+    assert tiny.terms == base.terms
+    assert abs(tiny.gap - base.gap) <= 1e-12 * base.gap
+
+
+def _peak_bytes(q, H):
+    """Peak traced bytes while iterating iter_S_rows(q, H) to its end, and the term count."""
+    tracemalloc.start()
+    try:
+        terms = sum(len(f) for f, _, _ in iter_S_rows(q, H))
+        return tracemalloc.get_traced_memory()[1], terms
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_memory_does_not_grow_with_H():
+    list(iter_S_rows(3, 20.0))  # one-off allocations of the first call
+    small, _ = _peak_bytes(3, 300.0)
+    large, terms = _peak_bytes(3, 1250.0)
+    # about 20 times the terms of H = 300, and 16 bytes a term to hold them all
+    assert large <= 1.25 * small
+    assert large < 16 * terms / 10
 
 
 def test_terms_grow_with_H():
