@@ -23,6 +23,9 @@ DEFAULT_D_MOD = 8
 DEFAULT_K_MAX = 64
 N_BINS = 8192
 QUAD_TOL = 1e-9
+# _phi_bins' cap on one block, in bytes: binning keeps about six float64/int64
+# arrays of the block's size live at once, so 2^29 bytes is about 1.1e7 points
+BLOCK_BYTES = 2**29
 
 
 class CutoffError(BudgetError):
@@ -82,8 +85,11 @@ def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int):
     lone = np.isin(den, primes)
     parts = (~lone, lone)
     periods = [math.lcm(1, *den[part].tolist()) for part in parts]
-    if max(periods) * n > 2**26:
-        raise BudgetError("period grid block too large; lower d_mod or the refinement")
+    block = max(periods) * n
+    if 6 * 8 * block > BLOCK_BYTES:
+        raise BudgetError(
+            f"period grid block of {block} points needs over {BLOCK_BYTES >> 20} MB; lower d_mod or the refinement"
+        )
     grids = [trunc.grid_values(P * n, part).reshape(P, n) for P, part in zip(periods, parts)]
     small, big = sorted(grids, key=len)
     lo = float((big.min(axis=0) + small.min(axis=0)).min())

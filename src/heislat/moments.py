@@ -261,11 +261,13 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
     half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
     n = np.arange(n_limit + 1, dtype=np.float64)
     n[0] = 1.0
-    total = 0.0
+    s = 2 * q - 3
+    total = d_partial = 0.0
     for d in range(1, d_max + 1):
         factor, twisted = _frak_branch(d, q)
         if not factor:
             continue
+        d_partial += factor**2 * d**-s
         sel = B % d == 0
         r2d = np.zeros(n_limit + 1)
         weights = W[sel] * _chi4_array(A[sel]) if twisted else W[sel]
@@ -276,7 +278,7 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
                 coprime[::p] = False
         terms = r2d[coprime] ** 2 * n[coprime] ** -1.5
         contrib = float(np.sum(terms))
-        total += factor**2 * contrib / d ** (2 * q - 3)
+        total += factor**2 * contrib / d**s
         if d == 1:
             sub_first = contrib
             octave = float(np.sum(terms[n_limit // 2 :]))
@@ -284,12 +286,8 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
     # n-tail estimate: the d = 1 series has a c log(t)/t^(3/2) density, whose
     # mass in the top octave [n/2, n] is about (sqrt(2) - 1) of the remainder
     tail_n = half_pref * octave / (math.sqrt(2) - 1)
-    s = 2 * q - 3
     z = zeta_value(s)
     d_full = (1 - 2.0**-s) * z + 2 ** (2 * q) * 4.0**-s * z
-    d_partial = sum(dd**-s for dd in range(1, d_max + 1, 2)) + 2 ** (2 * q) * sum(
-        dd**-s for dd in range(4, d_max + 1, 4)
-    )
     tail_d = max(d_full - d_partial, 0.0) * sub_first
     return value, half_pref * tail_d + tail_n
 

@@ -131,59 +131,51 @@ def _turns(t: np.ndarray) -> np.ndarray:
     return out
 
 
+# about the most pairs one m-window of _S_windows holds: the rows' memory bound, whatever H
 _S_WINDOW = 16384
 
 
-class _Sweep:
-    """Weighted pairs (f, v), v_lo <= v <= v_hi on each line f, taken in ascending windows of m = f^2 + v^2.
+def _sweep(q, windows, f, v_lo, v_hi, line_w=None, v_w=None, both=False):
+    """Yield (m, weight) of the pairs (f, v), v_lo <= v <= v_hi on each line f, for each window
+    [A, A + windows.step) of m = f^2 + v^2, A in the range windows.
 
-    The pair weighs _rep_weight(v, m, q), plus _rep_weight(f, m, q) if both,
-    times line_w[line] and v_w[v] where given.  f ascends, and so do the
-    least and the largest m of each line, so the lines that reach a window
-    are one slice.  cur holds each line's next v.
+    A pair weighs _rep_weight(v, m, q), plus _rep_weight(f, m, q) if both, times
+    line_w[line] and v_w[v] where given.  f ascends, and so do the least and the
+    largest m of a line, so the lines that reach a window are one slice.
     """
-
-    def __init__(self, q, f, v_lo, v_hi, line_w=None, v_w=None, both=False):
-        self.q, self.f, self.ff, self.cur, self.v_end = q, f, f * f, v_lo.copy(), v_hi + 1
-        self.m_lo, self.m_hi = self.ff + v_lo * v_lo, self.ff + v_hi * v_hi
-        self.line_w, self.v_w, self.both = line_w, v_w, both
-
-    def take(self, A: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-        """(m, weight) of the pairs with A <= m < B, by line and then v; all m < A are taken."""
-        i0, i1 = np.searchsorted(self.m_hi, A), np.searchsorted(self.m_lo, B)
-        cur = self.cur[i0:i1]
+    ff, cur, v_end = f * f, v_lo.copy(), v_hi + 1
+    m_lo, m_hi = ff + v_lo * v_lo, ff + v_hi * v_hi
+    for A in windows:
+        B = A + windows.step
+        i, j = np.searchsorted(m_hi, A), np.searchsorted(m_lo, B)
         # each line of the slice has f^2 + v_lo^2 < B; below 2^52 the float sqrt floors exactly
-        end = np.minimum(np.sqrt(B - 1 - self.ff[i0:i1]).astype(np.int64) + 1, self.v_end[i0:i1])
-        size = end - cur
-        start = np.cumsum(size) - size
-        v = np.arange(start[-1] + size[-1] if len(size) else 0) - np.repeat(start - cur, size)
-        self.cur[i0:i1] = end
-        m = np.repeat(self.ff[i0:i1], size) + v * v
-        t = _rep_weight(v, m, self.q)
-        if self.both:
-            t += _rep_weight(np.repeat(self.f[i0:i1], size), m, self.q)
-        if self.line_w is not None:
-            t *= np.repeat(self.line_w[i0:i1], size)
-        if self.v_w is not None:
-            t *= self.v_w[v]
-        return m, t
+        end = np.minimum(np.sqrt(B - 1 - ff[i:j]).astype(np.int64) + 1, v_end[i:j])
+        size = end - cur[i:j]
+        v = np.arange(size.sum()) - np.repeat(np.cumsum(size) - end, size)
+        cur[i:j] = end
+        m = np.repeat(ff[i:j], size) + v * v
+        t = _rep_weight(v, m, q)
+        if both:
+            t += _rep_weight(np.repeat(f[i:j], size), m, q)
+        if line_w is not None:
+            t *= np.repeat(line_w[i:j], size)
+        if v_w is not None:
+            t *= v_w[v]
+        yield m, t
 
 
 def _S_windows(d: int, H: float, q: int, twisted: bool):
-    """Yield (m, t) rows of modulus d, one per window of m: each m once, in ascending order,
-    with t the sum of its representation weights over both inner sums; zero sums are dropped.
+    """Yield (m, t) rows of modulus d, one per window of m, with each m once and ascending:
+    t sums the weights of all representations m = n^2 + h^2 in both inner sums; zero sums are dropped.
 
-    The first sum runs over n = 0 mod d and n <= h <= floor(H), h >= 1, with kernel
-    k1(h) = tau(h/(floor(H) + 1)); the second over h = 0 mod d and 0 <= n <= h, with
-    kernel k2(h) = tau(h/den2).  Both halve the pairs with n = 0 or n = h, and weigh
-    (n, h) by _rep_weight of the free coordinate, times chi4 of it if twisted.  The
-    halved pairs are listed once per modulus: (0, h) weighs k1(h)/2 (the second sum
-    gives it weight 0), and (h, h) with d | h weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The
-    other pairs go in sweeps: the lines n = 0 mod d and h = 0 mod d, or at d = 1, where
-    the two sums share their pairs and their kernel, one sweep with both weights.  Below
-    floor(H)^2 a sweep has about pi (B - A)/(8d) pairs with m in [A, B), and fewer
-    above, so a window of width 8 d _S_WINDOW/(pi sweeps) holds about _S_WINDOW pairs
-    at most.
+    The first sum takes n = 0 mod d, n <= h <= floor(H), kernel k1(h) = tau(h/(floor(H) + 1));
+    the second h = 0 mod d, 0 <= n <= h, kernel k2(h) = tau(h/den2).  A pair weighs
+    _rep_weight of its free coordinate, times chi4 of it if twisted, and half if n = 0 or
+    n = h.  Those halved pairs are listed apart: (0, h) weighs k1(h)/2, as the second sum
+    gives it 0, and (h, h), d | h, weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The rest are swept
+    along the lines n = 0 mod d and h = 0 mod d; at d = 1 both sums share their pairs and
+    kernel, and one sweep carries both weights.  Below floor(H)^2 a sweep has about
+    pi (B - A)/(8d) pairs with m in [A, B), so a window holds at most about _S_WINDOW pairs.
     """
     h_max = math.floor(H)
     h_all = np.arange(h_max + 1)
@@ -191,23 +183,23 @@ def _S_windows(d: int, H: float, q: int, twisted: bool):
     k2 = tau(h_all / (d * (math.floor(H / d) + 1)))
     chi = _chi4_array(h_all) if twisted else np.ones(h_max + 1)
     lines = h_all[d::d]
-    diag = 2 * lines * lines
-    edge_m = np.concatenate([h_all[1:] ** 2, diag])
-    edge_t = 0.5 * np.concatenate([k1[1:] * chi[1:], _rep_weight(lines, diag, q) * (k1 + k2)[lines] * chi[lines]])
+    edge_m = np.concatenate([h_all[1:] ** 2, 2 * lines**2])
+    edge_t = 0.5 * np.concatenate([k1[1:] * chi[1:], _rep_weight(lines, 2 * lines**2, q) * ((k1 + k2) * chi)[lines]])
     order = np.argsort(edge_m)
     edge_m, edge_t = edge_m[order], edge_t[order]
+    width = math.ceil(8 * d * _S_WINDOW / (math.pi * (1 if d == 1 else 2)))
+    windows = range(1, 2 * h_max * h_max + 1, width)
+    ones = np.ones_like(lines)
     if d == 1:
-        sweeps = [_Sweep(q, lines, np.ones_like(lines), lines - 1, line_w=k1[1:], both=True)]
+        sweeps = [_sweep(q, windows, lines, ones, lines - 1, line_w=k1[lines], both=True)]
     else:
         sweeps = [
-            _Sweep(q, lines, lines + 1, np.full(len(lines), h_max), v_w=k1 * chi),
-            _Sweep(q, lines, np.ones_like(lines), lines - 1, line_w=k2[lines], v_w=chi if twisted else None),
+            _sweep(q, windows, lines, lines + 1, np.full(len(lines), h_max), v_w=k1 * chi),
+            _sweep(q, windows, lines, ones, lines - 1, line_w=k2[lines], v_w=chi if twisted else None),
         ]
-    width = math.ceil(8 * d * _S_WINDOW / (math.pi * len(sweeps)))
-    for A in range(1, 2 * h_max * h_max + 1, width):
+    for A, parts in zip(windows, zip(*sweeps)):
         e0, e1 = np.searchsorted(edge_m, (A, A + width))
-        parts = [(edge_m[e0:e1], edge_t[e0:e1])] + [sweep.take(A, A + width) for sweep in sweeps]
-        m, t = (np.concatenate(p) for p in zip(*parts))
+        m, t = (np.concatenate(p) for p in zip((edge_m[e0:e1], edge_t[e0:e1]), *parts))
         if not len(m):
             continue
         # sort on the unique key (m - A, position): any sort then gives one order of summation

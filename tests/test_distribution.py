@@ -132,7 +132,9 @@ def test_crt_bins_past_the_full_grid_cap():
     assert n_points == 720720 * 128 > 2**26
     assert s[0].sum() == n_points
     assert peak < 64 * 2**20
-    # a block over the cap still raises: 5040 * 16384 points at refine 6
+    # a block over the cap still raises: 5040 * 16384 points at refine 6, about
+    # 4 GB to bin, where BLOCK_BYTES = 2^29 allows about 1.1e7 points
+    assert 6 * 8 * 5040 * 16384 > distribution.BLOCK_BYTES
     with pytest.raises(BudgetError):
         distribution._phi_bins(3, 1, 16, 64, 6)
 
