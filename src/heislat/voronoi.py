@@ -232,7 +232,7 @@ def iter_S_rows(q: int, H: float):
 
 
 def build_S_terms(q: int, H: float) -> VoronoiCoefficients:
-    """Assemble the term list of S_{q,H} grouped by representation pairs."""
+    """Assemble the term list of S_{q,H}: the terms of iter_S_rows, one per (d, m)."""
     rows = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))]
     rows += [(freq, coef, np.full(len(freq), is_cos)) for freq, coef, is_cos in iter_S_rows(q, H)]
     freq, coef, is_cos = (np.concatenate(parts) for parts in zip(*rows))

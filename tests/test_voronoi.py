@@ -35,7 +35,7 @@ def _rep_pairs(m: int, h_cap: float):
 def coeff_aH(q: int, m: int, d: int, H: float, twist=lambda a: 1) -> float:
     """Scalar oracle of the smoothed representation coefficient with the tau kernel.
 
-    With twist=chi4 each representation carries chi4 of its free coordinate.
+    Each representation carries twist(a) of its free coordinate a.
     """
     inv1 = 1.0 / (math.floor(H) + 1)
     den2 = d * (math.floor(H / d) + 1)
