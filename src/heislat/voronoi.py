@@ -172,7 +172,7 @@ def _S_windows(d: int, H: float, q: int, twisted: bool):
     the second h = 0 mod d, 0 <= n <= h, kernel k2(h) = tau(h/den2).  A pair weighs
     _rep_weight of its free coordinate, times chi4 of it if twisted, and half if n = 0 or
     n = h.  Those halved pairs are listed apart: (0, h) weighs k1(h)/2, as the second sum
-    gives it 0, and (h, h), d | h, weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The rest are swept
+    gives it 0^((q-1)/2) = 0, and (h, h), d | h, weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The rest are swept
     along the lines n = 0 mod d and h = 0 mod d; at d = 1 both sums share their pairs and
     kernel, and one sweep carries both weights.  Below floor(H)^2 a sweep has about
     pi (B - A)/(8d) pairs with m in [A, B), so a window holds at most about _S_WINDOW pairs.
