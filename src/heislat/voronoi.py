@@ -165,17 +165,16 @@ def _sweep(q, windows, f, v_lo, v_hi, line_w=None, v_w=None, both=False):
 
 
 def _S_windows(d: int, H: float, q: int, twisted: bool):
-    """Yield (m, t) rows of modulus d, one per window of m, with each m once and ascending:
-    t sums the weights of all representations m = n^2 + h^2 in both inner sums; zero sums are dropped.
+    """Yield (m, t) rows of modulus d, one per m-window: each m once, ascending, and t the summed
+    weight of its representations m = n^2 + h^2 in both inner sums; zero sums are dropped.
 
-    The first sum takes n = 0 mod d, n <= h <= floor(H), kernel k1(h) = tau(h/(floor(H) + 1));
-    the second h = 0 mod d, 0 <= n <= h, kernel k2(h) = tau(h/den2).  A pair weighs
-    _rep_weight of its free coordinate, times chi4 of it if twisted, and half if n = 0 or
-    n = h.  Those halved pairs are listed apart: (0, h) weighs k1(h)/2, as the second sum
-    gives it 0^((q-1)/2) = 0, and (h, h), d | h, weighs (k1(h) + k2(h)) 2^((1-q)/2)/2.  The rest are swept
-    along the lines n = 0 mod d and h = 0 mod d; at d = 1 both sums share their pairs and
-    kernel, and one sweep carries both weights.  Below floor(H)^2 a sweep has about
-    pi (B - A)/(8d) pairs with m in [A, B), so a window holds at most about _S_WINDOW pairs.
+    Sum 1 takes n = 0 mod d, n <= h <= floor(H), kernel k1(h) = tau(h/(floor(H) + 1)); sum 2
+    h = 0 mod d, 0 <= n <= h, kernel k2(h) = tau(h/den2).  A pair weighs _rep_weight of its free
+    coordinate, times chi4 of it if twisted, halved if n = 0 or n = h.  The halved pairs are
+    listed apart: (0, h) weighs k1(h)/2 (sum 2 gives it 0^((q-1)/2) = 0), and (h, h), d | h,
+    (k1(h) + k2(h)) 2^((1-q)/2)/2.  The rest are swept along the lines n = 0 mod d and h = 0 mod d,
+    or at d = 1, where both sums share pairs and kernel, in one sweep with both weights.  Below
+    floor(H)^2 a sweep has about pi (B - A)/(8d) pairs in [A, B): a window holds about _S_WINDOW.
     """
     h_max = math.floor(H)
     h_all = np.arange(h_max + 1)
