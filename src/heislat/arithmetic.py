@@ -250,7 +250,11 @@ class ArithTables:
     """Prefix sums of the 2q-dimensional sum-of-squares counts.
 
     prefix[s] = #{z in Z^(2q) : |z|^2 <= s} for 0 <= s <= limit, exact
-    integers held in int64 (overflow is checked during construction).
+    integers held in int64.  build_r2q_prefix makes them by q - 1 FFT
+    convolutions of r_2, each certified by a rounding bound with constant
+    _FFT_C (split into bit limbs where needed) and a checksum, and raises
+    BudgetError where a count or the total could leave int64 or a
+    certificate fails.
     """
 
     q: int
@@ -266,45 +270,140 @@ class ArithTables:
 
 
 INT64_SAFE = 2**62
+# C of the rounding bound C eps log2(n) |x|_2 |y|_2 of a float64 FFT convolution
+_FFT_C = 32.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def build_r2q_prefix(q: int, limit: int) -> ArithTables:
     """Build shell counts of Z^(2q) up to squared radius `limit`.
 
-    Repeatedly adds one coordinate: r_{j+1}(n) = sum_a r_j(n - a^2).
-    Each pass is a strided vector add; values are certified to stay inside
-    int64 by bounding the next pass before running it.
+    r_2 is counted exactly over the pairs a, b >= 0 with a^2 + b^2 <= limit,
+    weighted (2 if a else 1)(2 if b else 1) for the signs.  Then q - 1
+    real-FFT convolutions r_{2j+2} = r_{2j} * r_2, truncated to [0, limit],
+    run at the smallest length n = 2^a 3^b 5^c >= 2 limit + 1, so nothing
+    wraps into [0, limit]; r_2's spectrum is taken once.  One cumsum gives
+    the prefix.
+
+    Every product is certified exact.  A float64 FFT convolution of x and y
+    is off by at most C eps log2(n) |x|_2 |y|_2 in each entry (Percival
+    2003; Brent, Percival and Zimmermann 2007), with C = _FFT_C = 32 and
+    eps = 2^-52; below 1/4, rounding to the nearest integer is exact.  Where
+    r_{2j} fails that bound it is split into the fewest equal-width bit limbs
+    that each pass, and the limbs' products are recombined by shifts in
+    int64.  Each product must also meet the wrapping (mod 2^64) checksum
+    sum_n c(n) = sum_a r_2(a) P(limit - a), P the prefix sums of r_{2j}.
+
+    BudgetError when a count could overflow (peak r_{2j} times sum r_2
+    reaches 2^62), when even 1-bit limbs fail the bound, when a checksum
+    fails, or when the total, summed in float64 with a relative margin,
+    reaches 2^62 (at q = 3 near radius^2 9.6e5: 1200^2 raises).  The last
+    is raised before any transform when the ball of radius
+    sqrt(limit) - sqrt(2q)/2, which the unit cubes about the counted points
+    cover, already has volume 2^62.
     """
     if q < 1 or limit < 0:
         raise ValueError("need q >= 1 and limit >= 0")
-    counts = np.zeros(limit + 1, dtype=np.int64)
-    counts[0] = 1
-    amax = math.isqrt(limit)
-    for _ in range(2 * q):
-        peak = int(counts.max())
-        if peak * (2 * amax + 1) >= INT64_SAFE:
-            raise BudgetError("shell counts would overflow int64 at this limit")
-        nxt = counts.copy()
-        two = 2 * counts
-        for a in range(1, amax + 1):
-            nxt[a * a :] += two[: limit + 1 - a * a]
-        counts = nxt
-    # exact prefix sum: split into high/low words to avoid int64 overflow
-    prefix_obj = _exact_cumsum(counts)
-    if prefix_obj[-1] < INT64_SAFE:
-        prefix = prefix_obj.astype(np.int64)
-    else:
-        raise BudgetError("prefix sums exceed int64; reduce the limit")
-    return ArithTables(q=q, limit=limit, prefix=prefix)
-
-
-def _exact_cumsum(values: np.ndarray):
-    hi, lo = np.divmod(values, np.int64(2**32))
-    chi = np.cumsum(hi.astype(np.float64))
-    clo = np.cumsum(lo.astype(np.float64))
-    if chi[-1] * 2**32 + clo[-1] >= 2**62:
+    inner = math.sqrt(limit) - math.sqrt(2 * q) / 2
+    if inner > 0 and q * math.log(math.pi * inner * inner) - math.lgamma(q + 1) > math.log(INT64_SAFE) + 1e-9:
         raise BudgetError("cumulative counts exceed the exact int64 budget")
-    return (np.cumsum(hi) * 2**32) + np.cumsum(lo)
+    sq = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    weight = np.where(sq > 0, 2, 1)
+    r2 = np.zeros(limit + 1, dtype=np.int64)
+    for a2, wa in zip(sq.tolist(), weight.tolist()):
+        nb = math.isqrt(limit - a2) + 1
+        r2[a2 + sq[:nb]] += wa * weight[:nb]
+    counts = _convolve_powers(r2, q - 1)
+    total = float(np.sum(counts, dtype=np.float64))
+    if total * (1 + (limit + 2) * _EPS) >= INT64_SAFE:
+        raise BudgetError("cumulative counts exceed the exact int64 budget")
+    return ArithTables(q=q, limit=limit, prefix=np.cumsum(counts, out=counts))
+
+
+def _convolve_powers(r2: np.ndarray, steps: int) -> np.ndarray:
+    """r2 convolved with itself `steps` more times on [0, len(r2)), exactly; see build_r2q_prefix.
+
+    One real buffer, two spectra and one int64 work array serve every limb,
+    so beyond numpy.fft's own scratch a step allocates only its result.
+    """
+    if steps == 0:
+        return r2
+    size = len(r2)
+    n = _fft_length(2 * size - 1)
+    buf = np.zeros(n)
+    real = buf[:size]
+    work = np.empty(size, dtype=np.int64)
+    real[:] = r2
+    bound = 0.25 / (_FFT_C * _EPS * max(math.log2(n), 1.0) * _norm2(real))
+    r2_total = int(r2.sum())
+    r2_spec = np.fft.rfft(buf)
+    spec = np.empty_like(r2_spec)
+    counts = r2
+    for _ in range(steps):
+        peak = int(counts.max())
+        if peak * r2_total >= INT64_SAFE:
+            raise BudgetError("shell counts would overflow int64 at this limit")
+        bits = peak.bit_length()
+        width = _limb_width(counts, bits, bound, work, real)
+        nxt = np.zeros(size, dtype=np.int64)
+        for shift in range(0, bits, width):
+            if counts is r2 and width == bits:
+                # r2 * r2 in one limb: its spectrum is already taken
+                np.multiply(r2_spec, r2_spec, out=spec)
+            else:
+                _load_limb(counts, shift, width, work, real)
+                buf[size:] = 0
+                np.fft.rfft(buf, out=spec)
+                spec *= r2_spec
+            np.fft.irfft(spec, n, out=buf)
+            np.rint(real, out=real)
+            work[:] = real
+            work <<= shift
+            nxt += work
+        # sum_n nxt(n) = sum_{a + b <= limit} r2(a) counts(b), both sides mod 2^64
+        tails = np.cumsum(counts.view(np.uint64), out=work.view(np.uint64))[::-1]
+        if np.dot(r2.view(np.uint64), tails) != np.sum(nxt.view(np.uint64)):
+            raise BudgetError("shell-count convolution failed its checksum")
+        counts = nxt
+    return counts
+
+
+def _load_limb(counts, shift, width, work, real) -> np.ndarray:
+    """Bits [shift, shift + width) of counts, into the float array real (through work)."""
+    np.right_shift(counts, shift, out=work)
+    work &= (1 << width) - 1
+    real[:] = work
+    return real
+
+
+def _limb_width(counts, bits, bound, work, real) -> int:
+    """Bits per limb: the fewest equal-width limbs of counts (< 2^bits) whose 2-norms are all below bound."""
+    for k in range(1, bits + 1):
+        width = -(-bits // k)
+        if all(_norm2(_load_limb(counts, s, width, work, real)) < bound for s in range(0, bits, width)):
+            return width
+    raise BudgetError("shell-count convolution fails its rounding bound even with 1-bit limbs")
+
+
+def _norm2(x: np.ndarray) -> float:
+    """An upper bound on the 2-norm of a float64 vector."""
+    return math.sqrt(float(x @ x) * (1 + (len(x) + 2) * _EPS))
+
+
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = p35
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def save_tables(tables: ArithTables, path: str | Path) -> None:

@@ -99,7 +99,7 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 
     def block_sums(freq, amp):
         # a function of its own, so one block's arrays are freed before the next
-        v = _turns(np.multiply.outer(pair, freq))
+        v = _pair_turns(pair, freq)
         u = _turns(np.multiply.outer(start, freq))
         z = _turns(freq * x0sq)
         # Re(amp z) = Re amp Re z - Im amp Im z: the interleaved dot is the fast one
@@ -119,6 +119,14 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         out += block_sums(freq, amp)
         terms += len(amp)
     return out, terms
+
+
+def _pair_turns(pair: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """_turns(outer(pair, freq)) for a symmetric pair: one exp per unordered pair, copied to its mirror."""
+    upper = np.triu_indices(len(pair))
+    v = np.empty(pair.shape + freq.shape, dtype=np.complex128)
+    v[upper] = v[upper[::-1]] = _turns(np.multiply.outer(pair[upper], freq))
+    return v
 
 
 def _turns(t: np.ndarray) -> np.ndarray:

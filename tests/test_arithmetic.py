@@ -1,12 +1,20 @@
 """Number-theoretic helpers checked against independent references."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heislat import arithmetic
 from heislat.arithmetic import (
+    INT64_SAFE,
     BudgetError,
     _branch,
     _frak_branch,
@@ -193,3 +201,90 @@ def test_build_rejects_bad_args():
         build_r2q_prefix(0, 10)
     with pytest.raises(ValueError):
         build_r2q_prefix(3, -1)
+
+
+def _strided_prefix(q: int, limit: int) -> np.ndarray:
+    """Oracle, the former table build: 2q strided passes r_{j+1}(n) = sum_a r_j(n - a^2).
+
+    Each pass is bounded against int64 before it runs, and the total is
+    summed in Python integers; either failing raises BudgetError.
+    """
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    counts[0] = 1
+    amax = math.isqrt(limit)
+    for _ in range(2 * q):
+        if int(counts.max()) * (2 * amax + 1) >= INT64_SAFE:
+            raise BudgetError("shell counts would overflow int64 at this limit")
+        nxt = counts.copy()
+        two = 2 * counts
+        for a in range(1, amax + 1):
+            nxt[a * a :] += two[: limit + 1 - a * a]
+        counts = nxt
+    if sum(counts.tolist()) >= INT64_SAFE:
+        raise BudgetError("cumulative counts exceed the exact int64 budget")
+    return np.cumsum(counts)
+
+
+def _assert_matches_oracle(q: int, limit: int) -> None:
+    try:
+        want = _strided_prefix(q, limit)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            build_r2q_prefix(q, limit)
+        return
+    got = build_r2q_prefix(q, limit)
+    assert (got.q, got.limit) == (q, limit)
+    assert got.prefix.dtype == np.int64 and np.array_equal(got.prefix, want)
+
+
+TABLE_GRID = [(q, n) for q in range(1, 7) for n in (0, 1, 2, 3, 4, 24, 25, 99, 1000, 2000, 4096, 12345)]
+TABLE_GRID += [(3, 301**2), (4, 40000), (3, 600**2), (3, 900**2)]
+
+
+@pytest.mark.parametrize("q, limit", TABLE_GRID)
+def test_prefix_bit_identical_to_strided_build(q, limit):
+    _assert_matches_oracle(q, limit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 5), limit=st.integers(0, 3000))
+def test_prefix_property_against_strided_build(q, limit):
+    _assert_matches_oracle(q, limit)
+
+
+def test_prefix_multi_limb_split_is_bit_identical(monkeypatch):
+    # a rounding constant 10^7 times larger splits every multiplicand into limbs of 2 or 3 bits
+    want = {q: build_r2q_prefix(q, 12345).prefix for q in (2, 3, 4)}
+    widths = []
+    limb_width = arithmetic._limb_width
+
+    def spy(counts, bits, *args):
+        widths.append((bits, limb_width(counts, bits, *args)))
+        return widths[-1][1]
+
+    monkeypatch.setattr(arithmetic, "_FFT_C", arithmetic._FFT_C * 1e7)
+    monkeypatch.setattr(arithmetic, "_limb_width", spy)
+    for q in (2, 3, 4):
+        assert np.array_equal(build_r2q_prefix(q, 12345).prefix, want[q])
+    assert any(width < bits for bits, width in widths)
+
+
+def test_prefix_certificate_failure_raises(monkeypatch):
+    # no limb width can meet a bound this strict
+    monkeypatch.setattr(arithmetic, "_FFT_C", 1e30)
+    build_r2q_prefix(1, 2000)  # no convolution, nothing to certify
+    with pytest.raises(BudgetError, match="rounding bound"):
+        build_r2q_prefix(2, 2000)
+
+
+def test_prefix_reach_ends_below_1200_squared():
+    with pytest.raises(BudgetError, match="int64 budget"):
+        build_r2q_prefix(3, 1200**2)
+
+
+def test_table_build_does_not_import_scipy():
+    # numpy.fft only: importing scipy.fft alone costs tens of MB of resident memory
+    code = "import sys, heislat; heislat.build_r2q_prefix(3, 400); print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(arithmetic.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -304,6 +304,17 @@ def test_chirp_matches_direct_on_synthetic_grid(q, H, num, den, min_terms):
     assert terms > min_terms
 
 
+def test_chirp_pair_exps_bit_identical_to_full_outer_product(monkeypatch):
+    # three distinct steps (5, 7 and -3): one exp per unordered step pair gives the same sums
+    num = np.cumsum([900, 5, 7, 5, -3, 7, 7, 5, -3])
+    assert len(np.unique(np.diff(num))) == 3
+    rows = list(iter_S_rows(3, 40.0))
+    got, _ = _chirp_sum(iter(rows), num, 97)
+    monkeypatch.setattr(voronoi, "_pair_turns", lambda pair, freq: voronoi._turns(np.multiply.outer(pair, freq)))
+    want, _ = _chirp_sum(iter(rows), num, 97)
+    assert np.array_equal(got, want)
+
+
 def test_mean_square_gap_small_scale(tables_q3):
     # crude sanity at small X: the truncation leaves only a modest residual
     gap = mean_square_gap(3, tables_q3, 10, n_samples=40)
