@@ -96,13 +96,16 @@ def _phi_bins(q: int, m: int, d_mod: int, k_max: int, refine: int):
     width = max(float((big.max(axis=0) + small.max(axis=0)).max()) - lo, 1e-12) / N_BINS
     centers = lo + (np.arange(N_BINS) + 0.5) * width
     s = np.zeros((4, N_BINS))
+    # one block of values (then deviations), one scratch and one of bin indices, reused
+    vals, tmp, idx = np.empty(big.size), np.empty(big.size), np.empty(big.size, np.int64)
     for row in small:
-        vals = (big + row).ravel()
-        idx = ((vals - lo) / width).astype(np.int64)
+        np.add(big, row, out=vals.reshape(big.shape))
+        np.subtract(vals, lo, out=tmp)
+        tmp /= width
+        np.copyto(idx, tmp, casting="unsafe")
         np.minimum(idx, N_BINS - 1, out=idx)
-        # the block is not needed after binning: reuse it, one block-sized array fewer
-        dev = np.subtract(vals, centers[idx], out=vals)
-        sq = dev * dev
+        dev = np.subtract(vals, np.take(centers, idx, out=tmp), out=vals)
+        sq = np.multiply(dev, dev, out=tmp)
         s[:3] += [np.bincount(idx, w, N_BINS) for w in (None, dev, sq)]
         s[3] += np.bincount(idx, np.multiply(sq, dev, out=sq), N_BINS)
     return centers[0], s, trunc.period * n, width

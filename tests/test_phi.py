@@ -1,12 +1,14 @@
 """Almost periodic components: support, periodicity, bounds."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from heislat.phi import (
-    _TRIG_BLOCK,
+    _PHI_BLOCK,
     build_phi,
     component_vanishes,
     partial_sum_phi,
@@ -43,13 +45,14 @@ def test_vanishing_component_is_zero():
         trunc = build_phi(q, 3, 16, 16)
         t = np.linspace(0, 5, 50)
         assert np.max(np.abs(trunc(t))) == 0.0
+        assert trunc(1.5) == 0.0
         assert all(len(part) == 0 for part in trunc.spectrum())
         assert np.max(np.abs(trunc.grid_values(trunc.period * 4))) == 0.0
 
 
 @pytest.mark.parametrize(
     "q, m, d_max, k_max, n_t",
-    [(3, 1, 8, 64, 301), (4, 2, 12, 16, 301), (5, 5, 8, 8, 301), (3, 1, 128, 16, 301), (3, 2, 6, 8, 2 * _TRIG_BLOCK + 7)],
+    [(3, 1, 8, 64, 301), (4, 2, 12, 16, 301), (5, 5, 8, 8, 301), (3, 1, 128, 16, 301), (3, 2, 6, 8, 2 * _PHI_BLOCK + 7)],
     ids=["3-1-8-64", "4-2-12-16", "5-5-8-8", "3-1-128-16", "3-2-6-8-long-t"],
 )
 def test_spectrum_merges_term_list(q, m, d_max, k_max, n_t):
@@ -67,6 +70,56 @@ def test_spectrum_merges_term_list(q, m, d_max, k_max, n_t):
     merged = (a[None, :] * np.exp(2j * np.pi * np.outer(t, num / den))).real.sum(axis=1)
     assert np.max(np.abs(merged - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
     assert np.max(np.abs(trunc(t) - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
+
+
+def _exact_phase_sum(trunc, t_num: int, t_shift: int) -> float:
+    """phi at t = t_num / 2^t_shift in mpmath, each phase num t / den reduced mod 1 exactly."""
+    scale = 2**t_shift
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for n, d, a in zip(*(arr.tolist() for arr in trunc.spectrum())):
+            theta = 2 * mpmath.pi * mpmath.mpf(n * t_num % (d * scale)) / (d * scale)
+            total += a.real * mpmath.cos(theta) - a.imag * mpmath.sin(theta)
+    return float(total)
+
+
+@pytest.mark.parametrize("m", [1, 2, 13])
+def test_call_accuracy_at_large_t(m):
+    # dyadic t in [1e5, 1e6]: a phase 2 pi (num/den) t rounded in float64 is off
+    # by up to 3e-8 rad, which summed over the terms errs by several 1e-9
+    trunc = build_phi(3, m, 64, 64)
+    shift = 10
+    t_num = np.random.default_rng(m).integers(10**5 << shift, 10**6 << shift, 12).tolist()
+    want = np.array([_exact_phase_sum(trunc, k, shift) for k in t_num])
+    got = trunc(np.array(t_num, dtype=np.float64) / 2**shift)
+    assert np.max(np.abs(got - want)) <= 1e-11 * (1 + np.max(np.abs(want)))
+
+
+def test_call_scalar_negative_and_zero():
+    trunc = build_phi(3, 1, 8, 64)
+    t = np.array([-1234.5, -37.25, -3.1, -1e-3, 0.0, 1e-3, 2.5])
+    vals = trunc(t)
+    assert np.max(np.abs(vals - _term_sum(trunc, t))) <= 1e-12 + _phase_err(trunc, np.max(np.abs(t)))
+    for x, v in zip(t, vals):
+        # numpy's cos and sin may round a lone point and a vector lane differently
+        one = trunc(x)
+        assert np.ndim(one) == 0 and abs(one - v) <= 1e-13
+
+
+def test_call_memory_does_not_grow_with_points():
+    # beyond its output, __call__ holds O(_PHI_BLOCK) working memory whatever len(t)
+    trunc = build_phi(3, 2, 16, 16)
+    trunc.spectrum()
+    working = []
+    for n in (2 * _PHI_BLOCK + 7, 16 * _PHI_BLOCK + 7):
+        t = np.linspace(0.0, 1e4, n)
+        tracemalloc.start()
+        out = trunc(t)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        working.append(peak - out.nbytes)
+    assert working[0] <= 48 * _PHI_BLOCK  # 40 bytes a point of t mod den, z and accumulator
+    assert working[1] <= working[0] + 4096
 
 
 def test_build_phi_shared_and_read_only():
