@@ -1,8 +1,8 @@
 """Command line front end: every operation as a scriptable subcommand.
 
-Exit codes: 0 success, 1 acceptance failure, 2 argument errors, 3 budget or
-table errors.  Output is CSV or JSON (17 significant digits) to stdout or
-the --out path.  All computations are deterministic; there is no seed.
+Exit codes: 0 success, 1 acceptance failure, 2 argument or path errors,
+3 budget or table errors.  Output is CSV or JSON (17 significant digits) to
+stdout or the --out path.  All computations are deterministic.
 """
 
 from __future__ import annotations
@@ -20,26 +20,47 @@ from . import acceptance
 from .arithmetic import BudgetError, shell_tables
 from .distribution import cdf_and_moments, density
 from .empirical import component_sum_l2_gap, sample_errors
-from .lattice import as_fraction, count_points, normalized_error, volume_unit_ball
+from .lattice import _x4_from_args, count_points, normalized_error, volume_unit_ball
 from .moments import density_moment, q2_closed, q_analytic, q_ergodic
 from .phi import build_phi, partial_sum_phi
 from .voronoi import gap_report
 
 SCHEMA_VERSION = 1
 
+_COMMANDS: list = []
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default)
+
+def _command(name: str, help: str, *options, q=True, out=True, cache=False):
+    """Register the decorated handler as subcommand `name` with its own options.
+
+    q, out and cache say which shared options it takes; out may be --out's help.
+    """
+
+    def register(fn):
+        _COMMANDS.append((name, help, fn, options, q, out, cache))
+        return fn
+
+    return register
+
+
+def _opt(flag: str, **kwargs):
+    return flag, kwargs
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    payload = {"schema": SCHEMA_VERSION, **payload}
+    _write(json.dumps(payload, indent=2, default=_json_default) + "\n", out)
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not serializable: {type(obj)}")
 
@@ -48,272 +69,177 @@ def _emit_csv(header: list[str], rows, out: str | None) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
+    _write("\n".join(lines) + "\n", out)
+
+
+def _moment_payload(mv) -> dict:
+    return {"value": mv.value, "method": mv.method, "error_estimate": mv.error,
+            "truncation": mv.meta}
+
+
+def _x4_and_tables(args):
+    """x^4 from --x or --x2, and shell tables reaching floor(x^2)."""
+    x4 = _x4_from_args(args.x, vars(args).get("x2"))
+    return x4, shell_tables(args.q, math.isqrt(x4.numerator // x4.denominator), args.cache)
+
+
+def _window_tables(args):
+    """Shell tables for dilations in [X, 2X]."""
+    return shell_tables(args.q, (2 * args.X) ** 2, args.cache)
+
+
+@_command("count", "exact lattice point count in the dilated ball",
+          _opt("--x", help="dilation parameter, exact rational like 3/2 or 1.5"),
+          _opt("--x2", help="square of the dilation parameter (for irrational x)"), cache=True)
+def _count(args):
+    x4, tables = _x4_and_tables(args)
+    n = count_points(args.q, tables, x4=x4)
+    if args.out:
+        _emit({"count": n}, args.out)
     else:
-        sys.stdout.write(text)
+        print(n)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
-    return cfg
+@_command("error", "normalized counting error at one dilation",
+          _opt("--x", required=True), cache=True)
+def _error(args):
+    x4, tables = _x4_and_tables(args)
+    val = normalized_error(args.q, tables, x4=x4)
+    vol = volume_unit_ball(args.q)
+    _emit({"q": args.q, "x": str(args.x), "normalized_error": val, "volume": vol}, args.out)
 
 
-def _coerce(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+@_command("voronoi-gap", "mean square gap to the truncated trig sum",
+          _opt("--X", type=int, required=True), _opt("--samples", type=int, default=200),
+          _opt("--H", type=float), cache=True)
+def _voronoi_gap(args):
+    rep = gap_report(args.q, _window_tables(args), args.X, args.samples, args.H)
+    _emit({"q": args.q, "X": args.X, **asdict(rep)}, args.out)
 
 
-def _apply_config(args) -> None:
-    # config values fill in options the command line left unset
-    for key, val in _load_config(getattr(args, "config", None)).items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, _coerce(val))
+@_command("phi", "evaluate one almost periodic component",
+          _opt("--m", type=int, required=True), _opt("--t", type=float, nargs="+", required=True),
+          _opt("--D", type=int, default=128), _opt("--K", type=int, default=128))
+def _phi(args):
+    vals = build_phi(args.q, args.m, args.D, args.K)(np.array(args.t))
+    _emit_csv(["t", "phi"], zip(args.t, vals), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@_command("phi-sum", "partial sum of components along sqrt(m) x^2",
+          _opt("--M", type=int, required=True), _opt("--x", type=float, nargs="+", required=True),
+          _opt("--D", type=int, default=64), _opt("--K", type=int, default=64))
+def _phi_sum(args):
+    vals = partial_sum_phi(args.q, args.M, np.array(args.x), args.D, args.K)
+    _emit_csv(["x", "phi_sum"], zip(args.x, vals), args.out)
+
+
+@_command("moments", "component moment Q(m, l)",
+          _opt("--m", type=int, required=True), _opt("--l", type=int, required=True),
+          _opt("--method", choices=["analytic", "ergodic", "closed2"], default="analytic"),
+          _opt("--D", type=int), _opt("--K", type=int))
+def _moments(args):
+    # --D is the modulus of the ergodic route and the depth of the other two
+    d_name = "d_mod" if args.method == "ergodic" else "d_max"
+    kwargs = {k: v for k, v in ((d_name, args.D), ("k_max", args.K)) if v}
+    if args.method == "analytic":
+        mv = q_analytic(args.q, args.m, args.l, **kwargs)
+    elif args.method == "ergodic":
+        mv = q_ergodic(args.q, args.m, args.l, **kwargs)
+    elif args.method != "closed2":  # a --config value skips argparse's choices check
+        raise ValueError(f"unknown method {args.method!r}")
+    elif args.l != 2:
+        raise ValueError("closed2 computes l = 2 only")
+    else:
+        mv = q2_closed(args.q, args.m, **kwargs)
+    _emit(_moment_payload(mv), args.out)
+
+
+@_command("density-moment", "moment of the limiting density",
+          _opt("--j", type=int, required=True), _opt("--Mmax", type=int, default=300))
+def _density_moment(args):
+    _emit(_moment_payload(density_moment(args.q, args.j, m_max=args.Mmax)), args.out)
+
+
+@_command("density", "limiting density by Fourier inversion",
+          _opt("--M", type=int, default=60), _opt("--A", type=float), _opt("--step", type=float),
+          _opt("--xmin", type=float), _opt("--xmax", type=float),
+          out="CSV path (x, P); metadata JSON goes to stdout")
+def _density(args):
+    grid = density(args.q, m_max=args.M, A=args.A, step=args.step, x_min=args.xmin, x_max=args.xmax)
+    report = cdf_and_moments(grid)
+    if args.out:
+        _emit_csv(["x", "P"], zip(grid.x, grid.p), args.out)
+    _emit({"M": grid.m_max, "A": grid.cutoff, "sigma_step": grid.step, "x_step": grid.x_step,
+           "tail_variance": grid.tail_variance, "error_budget": grid.error_budget,
+           "moments": report["moments"], "abs_moments": report["abs_moments"]}, None)
+
+
+@_command("empirical", "sampled error experiment over [X, 2X]",
+          _opt("--X", type=int, required=True), _opt("--samples", type=int, required=True),
+          _opt("--M", type=int, default=0, help="also compute component-sum gaps up to M"),
+          out="samples CSV path; JSON report goes to stdout", cache=True)
+def _empirical(args):
+    tables = _window_tables(args)
+    series = sample_errors(args.q, tables, args.X, args.samples)
+    report = {"q": args.q, "X": args.X, **series.stats()}
+    if args.M:
+        n = min(args.samples, 1500)
+        gaps = component_sum_l2_gap(args.q, tables, args.X, [args.M], n_samples=n)
+        report["component_sum_gaps"] = {str(k): v for k, v in gaps.items()}
+    if args.out:
+        _emit_csv(["x", "err"], zip(series.x, series.err), args.out)
+    _emit(report, None)
+
+
+@_command("verify", "run the acceptance suite",
+          _opt("--criteria", type=int, nargs="*", help="subset of criteria numbers"),
+          q=False, out=False, cache=True)
+def _verify(args):
+    ok = True
+    for name, passed, detail, seconds in acceptance.run_criteria(args.criteria, cache=args.cache):
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}  ({seconds:.1f} s)")
+        ok = ok and passed
+    return 0 if ok else 1
+
+
+def _load_config(path: str) -> dict:
+    """key = value lines; blank lines, # comments and lines without = are skipped."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    pairs = (line.split("=", 1) for line in lines if "=" in line and not line.startswith("#"))
+    return {key.strip(): val.strip() for key, val in pairs}
+
+
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The heislat parser; config values become defaults of the options they name."""
     p = argparse.ArgumentParser(prog="heislat", description=__doc__)
     p.add_argument("--config", help="key=value defaults file")
     sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("count", help="exact lattice point count in the dilated ball")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--x", help="dilation parameter, exact rational like 3/2 or 1.5")
-    c.add_argument("--x2", help="square of the dilation parameter (for irrational x)")
-    c.add_argument("--cache")
-    c.add_argument("--out")
-
-    c = sub.add_parser("error", help="normalized counting error at one dilation")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--x", required=True)
-    c.add_argument("--cache")
-    c.add_argument("--out")
-
-    c = sub.add_parser("voronoi-gap", help="mean square gap to the truncated trig sum")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--X", type=int, required=True)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--H", type=float)
-    c.add_argument("--cache")
-    c.add_argument("--out")
-
-    c = sub.add_parser("phi", help="evaluate one almost periodic component")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--t", type=float, nargs="+", required=True)
-    c.add_argument("--D", type=int, default=128)
-    c.add_argument("--K", type=int, default=128)
-    c.add_argument("--out")
-
-    c = sub.add_parser("phi-sum", help="partial sum of components along sqrt(m) x^2")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--M", type=int, required=True)
-    c.add_argument("--x", type=float, nargs="+", required=True)
-    c.add_argument("--D", type=int, default=64)
-    c.add_argument("--K", type=int, default=64)
-    c.add_argument("--out")
-
-    c = sub.add_parser("moments", help="component moment Q(m, l)")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--l", type=int, required=True)
-    c.add_argument("--method", choices=["analytic", "ergodic", "closed2"], default="analytic")
-    c.add_argument("--D", type=int)
-    c.add_argument("--K", type=int)
-    c.add_argument("--out")
-
-    c = sub.add_parser("density-moment", help="moment of the limiting density")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--j", type=int, required=True)
-    c.add_argument("--Mmax", type=int, default=300)
-    c.add_argument("--out")
-
-    c = sub.add_parser("density", help="limiting density by Fourier inversion")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--M", type=int, default=60)
-    c.add_argument("--A", type=float)
-    c.add_argument("--step", type=float)
-    c.add_argument("--xmin", type=float)
-    c.add_argument("--xmax", type=float)
-    c.add_argument("--out", help="CSV path (x, P); metadata JSON goes to stdout")
-
-    c = sub.add_parser("empirical", help="sampled error experiment over [X, 2X]")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--X", type=int, required=True)
-    c.add_argument("--samples", type=int, required=True)
-    c.add_argument("--M", type=int, default=0, help="also compute component-sum gaps up to M")
-    c.add_argument("--cache")
-    c.add_argument("--out", help="samples CSV path; JSON report goes to stdout")
-
-    c = sub.add_parser("verify", help="run the acceptance suite")
-    c.add_argument("--criteria", type=int, nargs="*", help="subset of criteria numbers")
-    c.add_argument("--cache")
-
+    for name, help, fn, options, q, out, cache in _COMMANDS:
+        c = sub.add_parser(name, help=help)
+        head = [_opt("--q", type=int, required=True)] if q else []
+        tail = [_opt("--cache")] if cache else []
+        if out:
+            tail.append(_opt("--out", help=None if out is True else out))
+        dests = {c.add_argument(flag, **kw).dest for flag, kw in (*head, *options, *tail)}
+        # argparse converts a string default with the option's own type
+        c.set_defaults(run=fn, **{k: v for k, v in (config or {}).items() if k in dests})
     return p
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        return args.run(args) or 0
+    except SystemExit as exc:  # argparse has printed the usage error
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        _apply_config(args)
-        return _dispatch(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "count":
-        if (args.x is None) == (args.x2 is None):
-            raise ValueError("give exactly one of --x and --x2")
-        if args.x is not None:
-            x4 = as_fraction(args.x) ** 4
-        else:
-            x4 = as_fraction(args.x2) ** 2
-        limit = math.isqrt(x4.numerator // x4.denominator)
-        tables = shell_tables(args.q, limit, args.cache)
-        n = count_points(args.q, tables, x4=x4)
-        if args.out:
-            _emit({"schema": SCHEMA_VERSION, "count": n}, args.out)
-        else:
-            print(n)
-        return 0
-    if cmd == "error":
-        x4 = as_fraction(args.x) ** 4
-        limit = math.isqrt(x4.numerator // x4.denominator)
-        tables = shell_tables(args.q, limit, args.cache)
-        val = normalized_error(args.q, tables, x4=x4)
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "q": args.q,
-                "x": str(args.x),
-                "normalized_error": val,
-                "volume": volume_unit_ball(args.q),
-            },
-            args.out,
-        )
-        return 0
-    if cmd == "voronoi-gap":
-        limit = (2 * args.X) ** 2
-        tables = shell_tables(args.q, limit, args.cache)
-        rep = gap_report(args.q, tables, args.X, args.samples, args.H)
-        _emit({"schema": SCHEMA_VERSION, "q": args.q, "X": args.X, **asdict(rep)}, args.out)
-        return 0
-    if cmd == "phi":
-        trunc = build_phi(args.q, args.m, args.D, args.K)
-        vals = trunc(np.array(args.t))
-        _emit_csv(["t", "phi"], zip(args.t, vals), args.out)
-        return 0
-    if cmd == "phi-sum":
-        vals = partial_sum_phi(args.q, args.M, np.array(args.x), args.D, args.K)
-        _emit_csv(["x", "phi_sum"], zip(args.x, vals), args.out)
-        return 0
-    if cmd == "moments":
-        kwargs = {}
-        if args.D:
-            kwargs["d_max"] = args.D
-        if args.K:
-            kwargs["k_max"] = args.K
-        if args.method == "analytic":
-            mv = q_analytic(args.q, args.m, args.l, **kwargs)
-        elif args.method == "ergodic":
-            if args.D:
-                kwargs["d_mod"] = kwargs.pop("d_max")
-            mv = q_ergodic(args.q, args.m, args.l, **kwargs)
-        else:
-            if args.l != 2:
-                raise ValueError("closed2 computes l = 2 only")
-            mv = q2_closed(args.q, args.m, **kwargs)
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "value": mv.value,
-                "method": mv.method,
-                "error_estimate": mv.error,
-                "truncation": mv.meta,
-            },
-            args.out,
-        )
-        return 0
-    if cmd == "density-moment":
-        mv = density_moment(args.q, args.j, m_max=args.Mmax)
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "value": mv.value,
-                "method": mv.method,
-                "error_estimate": mv.error,
-                "truncation": mv.meta,
-            },
-            None,
-        )
-        return 0
-    if cmd == "density":
-        grid = density(
-            args.q, m_max=args.M, A=args.A, step=args.step, x_min=args.xmin, x_max=args.xmax
-        )
-        report = cdf_and_moments(grid)
-        if args.out:
-            _emit_csv(["x", "P"], zip(grid.x, grid.p), args.out)
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "M": grid.m_max,
-                "A": grid.cutoff,
-                "sigma_step": grid.step,
-                "x_step": grid.x_step,
-                "tail_variance": grid.tail_variance,
-                "error_budget": grid.error_budget,
-                "moments": report["moments"],
-                "abs_moments": report["abs_moments"],
-            },
-            None,
-        )
-        return 0
-    if cmd == "empirical":
-        limit = (2 * args.X) ** 2
-        tables = shell_tables(args.q, limit, args.cache)
-        series = sample_errors(args.q, tables, args.X, args.samples)
-        report = {"schema": SCHEMA_VERSION, "q": args.q, "X": args.X, **series.stats()}
-        if args.M:
-            gaps = component_sum_l2_gap(
-                args.q, tables, args.X, [args.M], n_samples=min(args.samples, 1500)
-            )
-            report["component_sum_gaps"] = {str(k): v for k, v in gaps.items()}
-        if args.out:
-            _emit_csv(["x", "err"], zip(series.x, series.err), args.out)
-        _emit(report, None)
-        return 0
-    if cmd == "verify":
-        results = acceptance.run_criteria(args.criteria, cache=args.cache)
-        ok = True
-        for name, passed, detail, seconds in results:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}  ({seconds:.1f} s)")
-            ok = ok and passed
-        return 0 if ok else 1
-    raise ValueError(f"unknown command {cmd}")
 
 
 def main() -> None:

@@ -318,7 +318,6 @@ def cdf_and_moments(grid: DensityGrid) -> dict:
     pc = np.clip(p, 0.0, None)
     inc = (pc[1:] + pc[:-1]) / 2 * np.diff(x)
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    moments = [float(trapz(x**j * p, x)) for j in range(4)]
-    abs_moments = {lam: float(trapz(np.abs(x) ** lam * p, x)) for lam in (0.5, 1, 1.5, 2)}
+    moments = [float(np.trapezoid(x**j * p, x)) for j in range(4)]
+    abs_moments = {lam: float(np.trapezoid(np.abs(x) ** lam * p, x)) for lam in (0.5, 1, 1.5, 2)}
     return {"cdf": cdf, "moments": moments, "abs_moments": abs_moments}

@@ -69,14 +69,13 @@ def count_points(q: int, tables: ArithTables | None = None, x=None, x2=None, x4=
     if x4f < 0:
         raise ValueError("the dilation parameter must be nonnegative")
     p, den = x4f.numerator, x4f.denominator
-    wmax = math.isqrt(p // den)
-    x2max = math.isqrt(p // den)
+    wmax = math.isqrt(p // den)  # also the largest |z|^2 counted, at w = 0
     if tables is None:
-        tables = build_r2q_prefix(q, x2max)
+        tables = build_r2q_prefix(q, wmax)
     if tables.q != q:
         raise ValueError("tables were built for a different q")
-    if tables.limit < x2max:
-        raise BudgetError(f"tables cover radius^2 {tables.limit} < required {x2max}")
+    if tables.limit < wmax:
+        raise BudgetError(f"tables cover radius^2 {tables.limit} < required {wmax}")
     total = 0
     for w in range(-wmax, wmax + 1):
         rem = p - w * w * den  # den * (x^4 - w^2), nonnegative here

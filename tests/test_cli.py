@@ -164,3 +164,84 @@ def test_command_line_beats_config(tmp_path, capsys):
     cfg.write_text("x = 1\n")
     assert run(["--config", str(cfg), "count", "--q", "3", "--x", "99/100"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_empirical_json_stats(capsys):
+    assert run(["empirical", "--q", "3", "--X", "20", "--samples", "50"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {"n", "mean", "second", "third", "min", "max"} <= payload.keys()
+    assert payload["n"] == 50 and "component_sum_gaps" not in payload
+
+
+def test_empirical_gaps_and_samples_csv(tmp_path, capsys):
+    out = tmp_path / "samples.csv"
+    argv = ["empirical", "--q", "3", "--X", "20", "--samples", "50", "--M", "3"]
+    assert run([*argv, "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["component_sum_gaps"]) == {"0", "3"}
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,err" and len(lines) == 51
+
+
+def test_density_csv_out_keeps_json_on_stdout(tmp_path, capsys):
+    out = tmp_path / "density.csv"
+    assert run(["density", "--q", "3", "--M", "20", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] == 20
+    assert out.read_text().splitlines()[0] == "x,P"
+
+
+def test_count_x2_matches_x(capsys):
+    assert run(["count", "--q", "3", "--x", "1"]) == 0
+    by_x = capsys.readouterr().out
+    assert run(["count", "--q", "3", "--x2", "1"]) == 0
+    assert capsys.readouterr().out == by_x
+
+
+def test_error_json_out(tmp_path, capsys):
+    out = tmp_path / "error.json"
+    assert run(["error", "--q", "3", "--x", "3/2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads(out.read_text())
+    assert payload["x"] == "3/2" and "normalized_error" in payload
+
+
+def test_config_sets_options_with_defaults(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("D = 4\nK = 4\n")
+    assert run(["phi", "--q", "3", "--m", "1", "--t", "0.3", "--D", "4", "--K", "4"]) == 0
+    by_flags = capsys.readouterr().out
+    assert run(["--config", str(cfg), "phi", "--q", "3", "--m", "1", "--t", "0.3"]) == 0
+    assert capsys.readouterr().out == by_flags
+
+
+def test_config_ignores_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("bogus = 7\nrun = 1\ncommand = phi\nx = 1\n")
+    assert run(["--config", str(cfg), "count", "--q", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "15"
+
+
+def test_density_moment_json_out(tmp_path, capsys):
+    out = tmp_path / "moment.json"
+    assert run(["density-moment", "--q", "3", "--j", "2", "--Mmax", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads(out.read_text())
+    assert payload["method"] == "cumulant" and payload["truncation"]["j"] == 2
+
+
+def test_missing_config_exit_2(tmp_path, capsys):
+    assert run(["--config", str(tmp_path / "missing"), "count", "--q", "3", "--x", "1"]) == 2
+    assert capsys.readouterr().err.startswith("argument error:")
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "count.json"
+    assert run(["count", "--q", "3", "--x", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("argument error:")
+
+
+def test_config_method_outside_choices_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("method = bogus\n")
+    assert run(["--config", str(cfg), "moments", "--q", "3", "--m", "2", "--l", "2"]) == 2
+    assert "unknown method" in capsys.readouterr().err
