@@ -10,13 +10,11 @@ from .arithmetic import (
     BudgetError,
     build_r2q_prefix,
     chi4,
-    frak_r,
     l_chi4_value,
     load_tables,
     mobius,
     r2,
-    r2_weighted,
-    r2_weighted_chi,
+    rep_weights,
     rho_chi_q,
     rho_q,
     save_tables,

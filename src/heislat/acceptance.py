@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import chi4, r2_weighted, r2_weighted_chi, shell_tables
+from .arithmetic import chi4, rep_weights, shell_tables
 from .distribution import cdf_and_moments, char_function, density
 from .empirical import ks_distance, ks_distance_gaussian, sample_errors, component_sum_l2_gap
 from .lattice import count_points, count_points_bruteforce, volume_unit_ball
@@ -67,19 +67,19 @@ def criterion_2_volume():
 
 def criterion_3_scaling_laws():
     """Exhaustive exact scaling identities of the weighted counts."""
-    checked = 0
+    m, s, d = np.arange(1, 201), np.arange(1, 6), np.arange(1, 11)
     for q in (3, 4):
-        for m in range(1, 201):
-            for d in range(1, 11):
-                base = r2_weighted(m, d, q)
-                base_chi = r2_weighted_chi(m, d, q)
-                for s in range(1, 6):
-                    if r2_weighted(m * s * s, d * s, q) != base:
-                        return False, f"scaling law fails at q={q} m={m} d={d} s={s}"
-                    if r2_weighted_chi(m * s * s, d * s, q) != chi4(s) * base_chi:
-                        return False, f"twisted scaling fails at q={q} m={m} d={d} s={s}"
-                    checked += 2
-    return True, f"{checked} identities hold exactly"
+        # rows m s^2, indexed [m - 1, s - 1]
+        table = rep_weights(q, np.outer(m, s * s).ravel(), 50).reshape(2, len(m), len(s), 50)
+        base = table[:, :, 0, : len(d)]
+        for si in s.tolist():
+            scaled = table[:, :, si - 1, d * si - 1]
+            for twisted, want in enumerate((base[0], chi4(si) * base[1])):
+                bad = np.argwhere(scaled[twisted] != want)
+                if len(bad):
+                    kind = "twisted scaling" if twisted else "scaling law"
+                    return False, f"{kind} fails at q={q} m={bad[0][0] + 1} d={bad[0][1] + 1} s={si}"
+    return True, f"{2 * 2 * len(m) * len(d) * len(s)} identities hold exactly"
 
 
 def criterion_4_moment_cross_validation():

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import BudgetError
-from .moments import q2_closed, q_ergodic, variance_series
+from .moments import q_ergodic, variance_series
 from .phi import build_phi, component_vanishes
 
 DEFAULT_D_MOD = 8
@@ -226,9 +226,8 @@ def density(
     taylor_m) of _quadrature_level and the _phi_bins Taylor remainder.
     """
     v_tail = tail_variance_estimate(q, m_max, d_mod, k_max)
-    variance = v_tail + sum(
-        q2_closed(q, m, d_max=24, k_max=24).value for m in contributing_m(m_max)
-    )
+    # the variance the Gaussian closure restores, as tail_variance_estimate says
+    variance = variance_series(q).value
     sd = math.sqrt(max(variance, 1e-12))
 
     if A is None:

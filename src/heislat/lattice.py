@@ -48,14 +48,14 @@ def volume_unit_ball(q: int) -> float:
 
 
 def _x4_from_args(x=None, x2=None, x4=None) -> Fraction:
-    given = [v is not None for v in (x, x2, x4)]
-    if sum(given) != 1:
+    """x^4 from exactly one of x, x^2 and x^4; ValueError if it is negative."""
+    given = [(v, power) for v, power in ((x, 4), (x2, 2), (x4, 1)) if v is not None]
+    if len(given) != 1:
         raise ValueError("specify exactly one of x, x2, x4")
-    if x is not None:
-        return as_fraction(x) ** 4
-    if x2 is not None:
-        return as_fraction(x2) ** 2
-    return as_fraction(x4)
+    value = as_fraction(given[0][0])
+    if value < 0:
+        raise ValueError("the dilation parameter must be nonnegative")
+    return value ** given[0][1]
 
 
 def count_points(q: int, tables: ArithTables | None = None, x=None, x2=None, x4=None) -> int:
@@ -66,8 +66,6 @@ def count_points(q: int, tables: ArithTables | None = None, x=None, x2=None, x4=
     for irrational x with rational square).
     """
     x4f = _x4_from_args(x, x2, x4)
-    if x4f < 0:
-        raise ValueError("the dilation parameter must be nonnegative")
     p, den = x4f.numerator, x4f.denominator
     wmax = math.isqrt(p // den)  # also the largest |z|^2 counted, at w = 0
     if tables is None:

@@ -1,8 +1,8 @@
 """Integral moments of the almost periodic components and of the density.
 
 Q(m, l) denotes the mean of phi_m^l over long intervals.  Three routes are
-implemented: the analytic moment formula (frak_r coefficients) and the
-ergodic mean of the truncated component (its merged spectrum), which both
+implemented: the analytic moment formula (frak_r coefficients, _frak_table)
+and the ergodic mean of the truncated component (its merged spectrum), which both
 take the zero bin of an l-fold convolution of an exact frequency spectrum
 (_zero_bin), and a closed-form double series for l = 2.  The moments of the
 limiting density follow from the Q(m, l) by one cumulant ledger: the
@@ -19,15 +19,15 @@ import numpy as np
 
 from .arithmetic import (
     BudgetError,
+    _branch_weights,
     _chi4_array,
     _frak_branch,
     _rep_weight,
     eps_sign,
-    frak_r,
-    two_square_reps,
+    rep_weights,
     zeta_value,
 )
-from .phi import _reps_cached, build_phi, component_vanishes
+from .phi import build_phi, component_vanishes
 
 
 @dataclass
@@ -44,20 +44,25 @@ def _moment_prefactor(q: int, ell: int, m: int) -> float:
     return (-1) ** ell * (math.pi ** (q - 1) / (4 * math.gamma(q))) ** ell / m ** (0.75 * ell)
 
 
+def _frak_table(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """frak_r(m k^2, d) at [k - 1, d - 1] over the box, and n = m k^2.
+
+    frak_r is the _frak_branch factor times the plain or twisted weight of
+    one rep_weights table; the moment formulas also need gcd conditions,
+    which their callers apply.
+    """
+    n = m * np.arange(1, k_max + 1) ** 2
+    factor, w, _ = _branch_weights(rep_weights(q, n, d_max), q, _frak_branch)
+    return factor * w, n
+
+
 @lru_cache(maxsize=None)
 def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple:
-    """Nonzero (d, k, frak_r) triples with gcd(k, d) = 1 in the box."""
-    items = []
-    for d in range(1, d_max + 1):
-        if not _frak_branch(d, q)[0]:
-            continue
-        for k in range(1, k_max + 1):
-            if math.gcd(k, d) != 1:
-                continue
-            val = frak_r(m * k * k, d, q, _reps_cached(m * k * k))
-            if val:
-                items.append((d, k, val))
-    return tuple(items)
+    """Nonzero (d, k, frak_r) triples with gcd(k, d) = 1 in the box, d-major."""
+    frak = _frak_table(q, m, d_max, k_max)[0].T
+    d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
+    dd, kk = np.nonzero(np.where(np.gcd.outer(d, k) == 1, frak, 0.0))
+    return tuple(zip((dd + 1).tolist(), (kk + 1).tolist(), frak[dd, kk].tolist()))
 
 
 _BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
@@ -100,7 +105,6 @@ def q_analytic(
     ell: int,
     d_max: int = 16,
     k_max: int = 16,
-    budget: int = _BUDGET,
     _estimate_error: bool = True,
 ) -> MomentValue:
     """Q(m, l) from the analytic moment formula, as one spectrum convolution.
@@ -111,7 +115,7 @@ def q_analytic(
     cos(pi/4 sum e_i) = Re prod e^{i pi e_i/4}, the sum is the real part of
     the zero bin of the l-fold convolution of the spectrum
     spec = {e eps(d) k/d: w e^{i pi e/4}}, whose frequencies are kept as exact
-    integers in units of 1/lcm(1..d_max); budget is that of _zero_bin.
+    integers in units of 1/lcm(1..d_max); _zero_bin runs at _BUDGET.
     The error estimate is coarsening-based: twice the change observed when
     the box is halved.
     """
@@ -131,12 +135,10 @@ def q_analytic(
         # the sqrt(2) factors are divided out once at the end
         spec[f] = complex(w, w)
         spec[-f] = complex(w, -w)
-    value = _moment_prefactor(q, ell, m) * _zero_bin(spec, ell, budget).real / 2 ** (ell / 2)
+    value = _moment_prefactor(q, ell, m) * _zero_bin(spec, ell, _BUDGET).real / 2 ** (ell / 2)
     err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_max >= 4 and k_max >= 4:
-        coarse = q_analytic(
-            q, m, ell, d_max // 2, k_max // 2, budget, _estimate_error=False
-        )
+        coarse = q_analytic(q, m, ell, d_max // 2, k_max // 2, _estimate_error=False)
         err += 2 * abs(value - coarse.value)
     return MomentValue(value, err, "analytic", {"d_max": d_max, "k_max": k_max, "terms": len(items)})
 
@@ -152,21 +154,15 @@ def q2_closed(
     """
     if component_vanishes(m):
         return MomentValue(0.0, 0.0, "closed2", {"vanishes": True})
-    moduli = [d for d in range(1, d_max + 1) if _frak_branch(d, q)[0]]
-    # the odd-d and the d = 0 mod 4 series of the closed form, summed apart
-    total = [0.0, 0.0]
-    for k in range(1, k_max + 1):
-        n = m * k * k
-        reps = two_square_reps(n)
-        for d in moduli:
-            if math.gcd(d, n) == 1:
-                total[d % 2] += frak_r(n, d, q, reps) ** 2 / (d ** (2 * q - 3) * k**3)
+    frak, n = _frak_table(q, m, d_max, k_max)
+    d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
+    terms = np.where(np.gcd.outer(n, d) == 1, frak**2, 0.0) / np.multiply.outer(k**3, d ** (2.0 * q - 3))
     pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2 / m**1.5
-    value = pref * (total[1] + total[0])
+    value = pref * float(np.sum(terms))
     err = 1e-12 * (1 + abs(value))
     if _estimate_error and d_max >= 4 and k_max >= 4:
-        coarse = q2_closed(q, m, d_max // 2, k_max // 2, _estimate_error=False)
-        err += 2 * abs(value - coarse.value)
+        # the halved box is a corner of this one
+        err += 2 * abs(value - pref * float(np.sum(terms[: k_max // 2, : d_max // 2])))
     return MomentValue(value, err, "closed2", {"d_max": d_max, "k_max": k_max})
 
 
@@ -177,8 +173,8 @@ def q_ergodic(
 
     The truncated component phi(t) = Re sum a e^{2 pi i f t}
     (PhiTruncation.spectrum) is sum a/2 e^{2 pi i f t} + conj(a)/2 e^{-2 pi i f t},
-    so the mean of phi^l is the zero bin (_zero_bin, default budget of
-    q_analytic, so BudgetError at l >= 5 in the default box) of the l-fold
+    so the mean of phi^l is the zero bin (_zero_bin at _BUDGET,
+    so BudgetError at l >= 5 in the default box) of the l-fold
     convolution of this two-sided spectrum, in exact units of 1/period of phi_m.
     The error estimate adds twice the change against a coarser component.
     """

@@ -22,13 +22,12 @@ import numpy as np
 
 from .arithmetic import (
     _branch,
+    _branch_weights,
     has_prime_factor_3_mod_4,
     is_squarefree,
-    r2_weighted,
-    r2_weighted_chi,
+    rep_weights,
     rho_chi_q,
     rho_q,
-    two_square_reps,
 )
 
 # term x point elements per block of _trig_sum: each element is one float64 of
@@ -194,32 +193,21 @@ class PhiTruncation:
 
 
 @lru_cache(maxsize=None)
-def _reps_cached(n: int) -> tuple:
-    return tuple(two_square_reps(n))
-
-
-@lru_cache(maxsize=None)
 def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncation:
-    """Assemble the truncated term list of phi_m, once per argument tuple."""
+    """Assemble the truncated term list of phi_m, once per argument tuple.
+
+    Terms run over d, then k, and keep every nonzero _branch factor times
+    weight of m k^2 from one rep_weights table.
+    """
     if q < 3 or m < 1:
         raise ValueError("need q >= 3 and m >= 1")
-    ks, ds, coefs, coss = [], [], [], []
-    if not component_vanishes(m):
-        pref = amplitude_prefactor(q) * (1.0 / m**0.75)
-        for d in range(1, d_max + 1):
-            factor, twisted = _branch(d, q)
-            if not factor:
-                continue
-            weight = r2_weighted_chi if twisted else r2_weighted
-            for k in range(1, k_max + 1):
-                w = weight(m * k * k, d, q, _reps_cached(m * k * k))
-                if w:
-                    ks.append(k)
-                    ds.append(d)
-                    coefs.append(pref * factor * w / (d ** (q - 1.5) * k**1.5))
-                    coss.append(twisted)
-    arrays = (np.array(ks, np.int64), np.array(ds, np.int64))
-    arrays += (np.array(coefs, float), np.array(coss, bool))
+    k = np.arange(1, 1 if component_vanishes(m) else k_max + 1)  # no terms when phi_m vanishes
+    d = np.arange(1, d_max + 1)
+    factor, w, twisted = _branch_weights(rep_weights(q, m * k * k, d_max), q, _branch)
+    pref = amplitude_prefactor(q) * (1.0 / m**0.75)
+    coef = (pref * factor * w).T / np.multiply.outer(d ** (q - 1.5), k**1.5)
+    dd, kk = np.nonzero(coef)
+    arrays = (k[kk], d[dd], coef[dd, kk], twisted[dd])
     for arr in arrays:
         arr.setflags(write=False)
     return PhiTruncation(q, m, d_max, k_max, *arrays)

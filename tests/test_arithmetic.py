@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislat import arithmetic
+from heislat.moments import _frak_table
 from heislat.arithmetic import (
     INT64_SAFE,
     BudgetError,
@@ -21,15 +22,13 @@ from heislat.arithmetic import (
     build_r2q_prefix,
     chi4,
     eps_sign,
-    frak_r,
     has_prime_factor_3_mod_4,
     is_squarefree,
     l_chi4_value,
     load_tables,
     mobius,
     r2,
-    r2_weighted,
-    r2_weighted_chi,
+    rep_weights,
     rho_chi_q,
     rho_q,
     save_tables,
@@ -78,23 +77,57 @@ def test_r2_known_values():
     assert r2(25) == 12
 
 
-def test_r2_weighted_reference_values():
-    assert r2_weighted(5, 1, 3) == pytest.approx(4.0, abs=1e-15)
-    assert r2_weighted(5, 2, 3) == pytest.approx(0.8, abs=1e-15)
-    assert r2_weighted_chi(5, 1, 3) == pytest.approx(0.8, abs=1e-15)
+def test_rep_weights_reference_values():
+    # 5 = 1 + 4: weights 4 (1/5) + 4 (4/5) over the eight signed pairs
+    w = rep_weights(3, [5], 2)
+    assert w[0, 0, 0] == pytest.approx(4.0, abs=1e-15)
+    assert w[0, 0, 1] == pytest.approx(0.8, abs=1e-15)
+    assert w[1, 0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
-def test_r2_weighted_q1_reduces_to_r2():
+def test_rep_weights_q1_reduces_to_r2():
     # exponent q - 1 = 0 makes every representation weight 1
-    for m in (1, 2, 5, 10, 13, 25, 50):
-        assert r2_weighted(m, 1, 1) == r2(m)
+    ms = [1, 2, 5, 10, 13, 25, 50]
+    assert rep_weights(1, ms, 1)[0, :, 0].tolist() == [r2(m) for m in ms]
+
+
+def _weight_oracle(q: int, n: int, d: int, twisted: bool) -> float:
+    """The weighted count of n at modulus d, pair by pair over two_square_reps."""
+    total = 0.0
+    for a, b in two_square_reps(n):
+        if b % d == 0:
+            sign = chi4(a) if twisted else 1
+            total += sign * (2 if a else 1) * (2 if b else 1) * (a * a / n) ** ((q - 1) / 2)
+    return total
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_rep_weights_match_pair_oracle(q):
+    n = range(1, 601)
+    table = rep_weights(q, n, 12)
+    for twisted in (0, 1):
+        want = [[_weight_oracle(q, v, d, twisted) for d in range(1, 13)] for v in n]
+        np.testing.assert_allclose(table[twisted], want, rtol=1e-15, atol=0)
+
+
+def test_rep_weights_blocks_and_rejects(monkeypatch):
+    # a block boundary inside a row changes nothing, not even the last bit
+    n = [5**6, 2 * 13**4, 1, 65 * 65]
+    want = rep_weights(4, n, 9)
+    monkeypatch.setattr(arithmetic, "_REP_CELLS", 7)
+    assert np.array_equal(rep_weights(4, n, 9), want)
+    for bad in ([0], [2**52]):
+        with pytest.raises(ValueError):
+            rep_weights(3, bad, 4)
+    with pytest.raises(ValueError):
+        rep_weights(3, [5], 0)
 
 
 def test_frak_r_vanishes_for_d_2_mod_4():
     for q in (3, 4):
         for m in (1, 2, 5):
-            for d in (2, 6, 10):
-                assert frak_r(m, d, q) == 0.0
+            frak = _frak_table(q, m, 10, 3)[0]
+            assert not frak[:, [1, 5, 9]].any()
 
 
 # (factor, twisted) of _branch and of _frak_branch for d = 1, 2, 3, 0 mod 4;

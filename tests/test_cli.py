@@ -32,6 +32,12 @@ def test_count_conflicting_args_exit_2(capsys):
     assert run(["count", "--q", "3", "--x", "1", "--x2", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--x", "--x2"])
+def test_count_negative_dilation_exit_2(flag, capsys):
+    assert run(["count", "--q", "3", flag, "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_count_missing_x_exit_2(capsys):
     assert run(["count", "--q", "3"]) == 2
 

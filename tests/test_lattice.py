@@ -46,6 +46,15 @@ def test_count_rejects_conflicting_args(tables_q3_small):
         count_points(3, tables_q3_small)
 
 
+def test_negative_dilation_rejected(tables_q3_small):
+    # x^4 alone cannot tell x = -2 from x = 2
+    for kwargs in ({"x": -2}, {"x2": Fraction(-1, 4)}, {"x4": -1}):
+        with pytest.raises(ValueError):
+            normalized_error(3, tables_q3_small, **kwargs)
+        with pytest.raises(ValueError):
+            count_points(3, tables_q3_small, **kwargs)
+
+
 def test_volume_q3_closed_form():
     assert volume_unit_ball(3) == pytest.approx(math.pi**4 / 16, rel=1e-15)
 

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislat.arithmetic import BudgetError, eps_sign, frak_r
+from heislat import moments
+from heislat.arithmetic import BudgetError, eps_sign
 from heislat.distribution import tail_variance_estimate
 from heislat.moments import (
+    _frak_table,
     _moment_prefactor,
     density_moment,
     q2_closed,
@@ -146,9 +148,10 @@ def _tuple_oracle(q, m, ell, box):
     fractions; it contributes prod w * cos(pi/4 * sum e).
     """
     signed = []
+    frak = _frak_table(q, m, box, box)[0]
     for d in range(1, box + 1):
         for k in range(1, box + 1):
-            v = frak_r(m * k * k, d, q) if math.gcd(k, d) == 1 else 0.0
+            v = frak[k - 1, d - 1] if math.gcd(k, d) == 1 else 0.0
             if v:
                 for e in (1, -1):
                     signed.append((e * eps_sign(d, q) * Fraction(k, d), e, v / (d ** (q - 1.5) * k**1.5)))
@@ -168,15 +171,18 @@ def test_analytic_matches_tuple_enumeration(q, ell, box):
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_analytic_budget_raises():
+def test_analytic_budget_raises(monkeypatch):
     # the spectrum holds both signs of every item, and l = 3 convolves it once
     mv = q_analytic(3, 1, 3, d_max=8, k_max=8)
     products = (2 * mv.meta["terms"]) ** 2
-    assert q_analytic(3, 1, 3, d_max=8, k_max=8, budget=products).value == mv.value
+    monkeypatch.setattr(moments, "_BUDGET", products)
+    assert q_analytic(3, 1, 3, d_max=8, k_max=8).value == mv.value
+    monkeypatch.setattr(moments, "_BUDGET", products - 1)
     with pytest.raises(BudgetError):
-        q_analytic(3, 1, 3, d_max=8, k_max=8, budget=products - 1)
+        q_analytic(3, 1, 3, d_max=8, k_max=8)
+    monkeypatch.setattr(moments, "_BUDGET", 1000)
     with pytest.raises(BudgetError):
-        q_analytic(3, 1, 4, d_max=8, k_max=8, budget=1000)
+        q_analytic(3, 1, 4, d_max=8, k_max=8)
 
 
 def test_density_moment_two_components_explicit():

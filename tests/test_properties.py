@@ -7,17 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislat.arithmetic import (
-    chi4,
-    frak_r,
-    mobius,
-    r2,
-    r2_weighted,
-    r2_weighted_chi,
-    two_square_reps,
-)
+from heislat.arithmetic import chi4, mobius, r2, rep_weights, two_square_reps
 from heislat.lattice import count_points, count_points_fast
-from heislat.moments import q2_closed
+from heislat.moments import _frak_table, q2_closed
 from heislat.phi import build_phi, component_vanishes
 
 q_strategy = st.integers(min_value=3, max_value=6)
@@ -26,33 +18,35 @@ q_strategy = st.integers(min_value=3, max_value=6)
 @given(m=st.integers(1, 400), d=st.integers(1, 12), s=st.integers(1, 8), q=q_strategy)
 @settings(max_examples=200, deadline=None)
 def test_weight_scaling_law(m, d, s, q):
-    assert r2_weighted(m * s * s, d * s, q) == r2_weighted(m, d, q)
+    assert rep_weights(q, [m * s * s], d * s)[0, 0, -1] == rep_weights(q, [m], d)[0, 0, -1]
 
 
 @given(m=st.integers(1, 400), d=st.integers(1, 12), s=st.integers(1, 8), q=q_strategy)
 @settings(max_examples=200, deadline=None)
 def test_twisted_weight_scaling_law(m, d, s, q):
-    assert r2_weighted_chi(m * s * s, d * s, q) == chi4(s) * r2_weighted_chi(m, d, q)
+    assert rep_weights(q, [m * s * s], d * s)[1, 0, -1] == chi4(s) * rep_weights(q, [m], d)[1, 0, -1]
 
 
 @given(m=st.integers(1, 1000), d=st.integers(1, 20), q=q_strategy)
 @settings(max_examples=200, deadline=None)
 def test_twisted_weight_dominated(m, d, q):
-    assert abs(r2_weighted_chi(m, d, q)) <= r2_weighted(m, d, q) + 1e-12
+    plain, twisted = rep_weights(q, [m], d)[:, 0, -1]
+    assert abs(twisted) <= plain + 1e-12
 
 
 @given(m=st.integers(1, 1000), d=st.integers(1, 20), q=q_strategy)
 @settings(max_examples=200, deadline=None)
 def test_weight_dominated_by_r2(m, d, q):
     # each representation weight (a^2/m)^((q-1)/2) is at most 1
-    assert 0.0 <= r2_weighted(m, d, q) <= r2(m) + 1e-12
+    assert 0.0 <= rep_weights(q, [m], d)[0, 0, -1] <= r2(m) + 1e-12
 
 
 @given(m=st.integers(1, 500), q=q_strategy)
 @settings(max_examples=100, deadline=None)
 def test_frak_r_zero_at_2_mod_4(m, q):
-    assert frak_r(m, 4 * m % 4 + 2, q) == 0.0
-    assert frak_r(m, 6, q) == 0.0
+    frak = _frak_table(q, m, 6, 1)[0][0]
+    assert frak[1] == 0.0
+    assert frak[5] == 0.0
 
 
 @given(n=st.integers(1, 3000))
