@@ -21,9 +21,8 @@ from .arithmetic import (
     zeta_value,
 )
 from .distribution import DensityGrid, cdf_and_moments, char_factor, char_function, density
-from .empirical import SampleSeries, empirical_lambda_moment, ks_distance, sample_errors, component_sum_l2_gap
+from .empirical import ErrorSample, component_sum_l2_gap, empirical_lambda_moment, ks_distance, sample_errors
 from .lattice import (
-    ErrorSample,
     count_points,
     count_points_bruteforce,
     normalized_error,
@@ -31,13 +30,6 @@ from .lattice import (
 )
 from .moments import MomentValue, density_moment, q2_closed, q_analytic, q_ergodic, third_moment_sum, variance_series
 from .phi import PhiTruncation, build_phi, partial_sum_phi
-from .voronoi import (
-    GapReport,
-    VoronoiCoefficients,
-    build_S_terms,
-    gap_report,
-    mean_square_gap,
-    tau,
-)
+from .voronoi import GapReport, gap_report, mean_square_gap, tau
 
 __version__ = "0.1.0"

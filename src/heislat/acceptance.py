@@ -190,7 +190,7 @@ def criterion_8_component_gap():
     """L2 gap to the component partial sums shrinks with more components."""
     q = 3
     tables = _tables(q, (2 * 200) ** 2)
-    gaps = component_sum_l2_gap(q, tables, 200, [1, 5, 10, 20, 40])
+    gaps = component_sum_l2_gap(sample_errors(q, tables, 200, 1500), [1, 5, 10, 20, 40])
     seq = [gaps[M] for M in (1, 5, 10, 20, 40)]
     if not all(a > b for a, b in zip(seq, seq[1:])):
         return False, f"gaps not strictly decreasing: {gaps}"

@@ -113,7 +113,7 @@ def _error(args):
           _opt("--X", type=int, required=True), _opt("--samples", type=int, default=200),
           _opt("--H", type=float), cache=True)
 def _voronoi_gap(args):
-    rep = gap_report(args.q, _window_tables(args), args.X, args.samples, args.H)
+    rep = gap_report(sample_errors(args.q, _window_tables(args), args.X, args.samples), args.H)
     _emit({"q": args.q, "X": args.X, **asdict(rep)}, args.out)
 
 
@@ -183,8 +183,8 @@ def _empirical(args):
     series = sample_errors(args.q, tables, args.X, args.samples)
     report = {"q": args.q, "X": args.X, **series.stats()}
     if args.M:
-        n = min(args.samples, 1500)
-        gaps = component_sum_l2_gap(args.q, tables, args.X, [args.M], n_samples=n)
+        window = series if args.samples <= 1500 else sample_errors(args.q, tables, args.X, 1500)
+        gaps = component_sum_l2_gap(window, [args.M])
         report["component_sum_gaps"] = {str(k): v for k, v in gaps.items()}
     if args.out:
         _emit_csv(["x", "err"], zip(series.x, series.err), args.out)

@@ -231,8 +231,9 @@ def density(
     sd = math.sqrt(max(variance, 1e-12))
 
     if A is None:
-        A = _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd)
-    probe = abs(complex(char_function(q, A, m_max, d_mod, k_max, v_tail)))
+        A, probe = _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd)
+    else:
+        probe = abs(complex(char_function(q, A, m_max, d_mod, k_max, v_tail)))
     if probe >= 1e-9:
         raise CutoffError(f"|Phi({A})| = {probe:.2e} has not decayed below 1e-9")
 
@@ -301,12 +302,13 @@ def density(
     )
 
 
-def _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd) -> float:
+def _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd) -> tuple[float, float]:
+    """The first A = (2/sd) 1.3^i with |Phi(A)| < 1e-12, and that |Phi(A)|."""
     a = 2.0 / sd
     for _ in range(40):
         val = abs(complex(char_function(q, a, m_max, d_mod, k_max, v_tail)))
         if val < 1e-12:
-            return a
+            return a, val
         a *= 1.3
     raise CutoffError("could not find a cutoff with |Phi| < 1e-12")
 

@@ -1,31 +1,34 @@
-"""Finite-dilation experiments: sampled errors, moments, and distances.
+"""Finite-dilation experiments: one sampled window [X, 2X] and its statistics.
 
-Samples the normalized error on [X, 2X], compares its empirical moments
-and distribution against the limiting density, and measures the L2 gap to
-the partial sums of the almost periodic components.
+`sample_errors` counts the normalized error once on a rational grid over
+[X, 2X].  Every window statistic reads its `ErrorSample`: the moments, the
+KS distances and the component-sum gaps here, and the S_{q,H} gap in voronoi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import ArithTables
+from .arithmetic import ArithTables, BudgetError
 from .distribution import DensityGrid, cdf_and_moments
-from .lattice import sample_normalized_errors
+from .lattice import count_points, count_points_fast, volume_unit_ball
 from .phi import partial_sum_phi
 
 
 @dataclass
-class SampleSeries:
-    """Normalized error samples over [X, 2X] with summary statistics."""
+class ErrorSample:
+    """Normalized errors err at the dilations x = num / den of [X, 2X]."""
 
     q: int
     X: int
     x: np.ndarray = field(repr=False)
     err: np.ndarray = field(repr=False)
+    num: np.ndarray = field(repr=False)
+    den: int
 
     @property
     def n(self) -> int:
@@ -43,12 +46,49 @@ class SampleSeries:
         }
 
 
-def sample_errors(q: int, tables: ArithTables, X: int, n_samples: int) -> SampleSeries:
-    series = sample_normalized_errors(q, tables, X, 2 * X, n_samples)
-    return SampleSeries(q=q, X=X, x=series.x, err=series.err)
+def _is_prime(n: int) -> bool:
+    """Trial division; the sampler asks only about denominators below 4e4."""
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
-def empirical_lambda_moment(series: SampleSeries, lam: float) -> float:
+def sample_errors(q: int, tables: ArithTables, X: int, n_samples: int) -> ErrorSample:
+    """Normalized error on an equispaced rational grid over [X, 2X].
+
+    Samples that count_points_fast declines with BudgetError go to count_points.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    if X < 1:
+        raise ValueError("need X >= 1")
+    # sample on a lattice of spacing 1/den, with den the largest prime such
+    # that 2 (2X den)^4 < 2^62 (a prime spacing avoids resonating with
+    # small-denominator frequencies of the almost periodic error).  The rule
+    # defines the grid and is kept so that samples stay reproducible; the
+    # counting kernel itself needs only floor(x^4) < 2^52.
+    den_max = max(math.isqrt(math.isqrt(2**61 - 1)) // (2 * X), 1)
+    den = next((d for d in range(den_max, 1, -1) if _is_prime(d)), den_max)
+    if den < -(-(n_samples - 1) // X):
+        raise BudgetError("more samples than points on the 1/den grid")
+    vol = volume_unit_ball(q)
+    nums = np.empty(n_samples, dtype=np.int64)
+    xs = np.empty(n_samples)
+    errs = np.empty(n_samples)
+    slots = X * den
+    for i in range(n_samples):
+        j = round(i * slots / (n_samples - 1))
+        num = nums[i] = X * den + j
+        g = math.gcd(num, den)
+        try:
+            cnt = count_points_fast(q, tables, num // g, den // g)
+        except BudgetError:
+            cnt = count_points(q, tables, x=Fraction(num, den))
+        xf = num / den
+        xs[i] = xf
+        errs[i] = (cnt - vol * xf ** (2 * q + 2)) / xf ** (2 * q - 1)
+    return ErrorSample(q=q, X=X, x=xs, err=errs, num=nums, den=den)
+
+
+def empirical_lambda_moment(series: ErrorSample, lam: float) -> float:
     """Mean of |error|^lambda over the sampled window."""
     return float(np.mean(np.abs(series.err) ** lam))
 
@@ -63,7 +103,7 @@ def _ks(err: np.ndarray, model_cdf) -> float:
     return float(np.max(np.maximum(np.abs(upper - model), np.abs(model - lower))))
 
 
-def ks_distance(series: SampleSeries, grid: DensityGrid) -> float:
+def ks_distance(series: ErrorSample, grid: DensityGrid) -> float:
     """Kolmogorov-Smirnov distance between samples and a gridded density."""
     cdf = cdf_and_moments(grid)["cdf"]
     total = cdf[-1]
@@ -73,30 +113,26 @@ def ks_distance(series: SampleSeries, grid: DensityGrid) -> float:
     return _ks(series.err, lambda s: np.interp(s, grid.x, cdf, left=0.0, right=1.0))
 
 
-def ks_distance_gaussian(series: SampleSeries, variance: float) -> float:
+def ks_distance_gaussian(series: ErrorSample, variance: float) -> float:
     """KS distance to a centered Gaussian with the given variance."""
     erf = np.vectorize(math.erf)
     return _ks(series.err, lambda s: 0.5 * (1 + erf(s / math.sqrt(2 * variance))))
 
 
 def component_sum_l2_gap(
-    q: int,
-    tables: ArithTables,
-    X: int,
+    series: ErrorSample,
     m_values: list[int],
-    n_samples: int = 1500,
     d_max: int = 64,
     k_max: int = 64,
 ) -> dict[int, float]:
-    """Mean square of (error - partial component sum) over [X, 2X].
+    """Mean square of (error - partial component sum) over the sampled window.
 
     Returns {M: gap} including M = 0 (raw mean square of the error), so the
     decay of the gap as M grows measures how much of the error profile the
     first components explain.
     """
-    series = sample_normalized_errors(q, tables, X, 2 * X, n_samples)
     gaps: dict[int, float] = {0: float(np.mean(series.err**2))}
     for M in m_values:
-        approx = partial_sum_phi(q, M, series.x, d_max, k_max)
+        approx = partial_sum_phi(series.q, M, series.x, d_max, k_max)
         gaps[M] = float(np.mean((series.err - approx) ** 2))
     return gaps

@@ -1,31 +1,19 @@
 """Lattice point counts in dilated norm balls and the normalized error term.
 
 The ball is B = {(v, w) in R^(2q) x R : |v|^4 + w^2 <= 1} and the dilation
-scales v by x and w by x^2.  Counting is exact: x^4 is carried as a rational
-number and all boundary comparisons reduce to integer square roots.
+scales v by x and w by x^2.  Counting is exact: x^4 is rational and every
+boundary test is an integer square root.  The window sampler is in empirical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
-
-
-@dataclass
-class ErrorSample:
-    """Normalized error samples at the dilations x = num / den."""
-
-    q: int
-    x: np.ndarray
-    err: np.ndarray
-    num: np.ndarray
-    den: int
 
 
 def as_fraction(x) -> Fraction:
@@ -152,50 +140,3 @@ def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> in
         lo += int((vals & 0xFFFFFFFF).sum())
     return 2 * (hi * 2**32 + lo) - int(tables.prefix[wmax])
 
-
-def _is_prime(n: int) -> bool:
-    """Trial division; the sampler asks only about denominators below 4e4."""
-    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
-def sample_normalized_errors(
-    q: int, tables: ArithTables, x_lo: int, x_hi: int, n_samples: int
-) -> ErrorSample:
-    """Normalized error on an equispaced rational grid over [x_lo, x_hi].
-
-    Samples that count_points_fast declines with BudgetError go to count_points.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    span = x_hi - x_lo
-    if span < 1:
-        raise ValueError("need x_hi > x_lo")
-    # sample on a lattice of spacing 1/den, with den the largest prime such
-    # that 2 (x_hi den)^4 < 2^62 (a prime spacing avoids resonating with
-    # small-denominator frequencies of the almost periodic error).  The rule
-    # defines the grid and is kept so that samples stay reproducible; the
-    # counting kernel itself needs only floor(x^4) < 2^52.
-    den_need = -(-(n_samples - 1) // span)
-    den_max = 1
-    while (x_hi * (den_max + 1)) ** 4 * 2 < 2**62:
-        den_max += 1
-    den = next((d for d in range(den_max, 1, -1) if _is_prime(d)), den_max)
-    if den < den_need:
-        raise BudgetError("more samples than points on the 1/den grid")
-    vol = volume_unit_ball(q)
-    nums = np.empty(n_samples, dtype=np.int64)
-    xs = np.empty(n_samples)
-    errs = np.empty(n_samples)
-    slots = span * den
-    for i in range(n_samples):
-        j = round(i * slots / (n_samples - 1))
-        num = nums[i] = x_lo * den + j
-        g = math.gcd(num, den)
-        try:
-            cnt = count_points_fast(q, tables, num // g, den // g)
-        except BudgetError:
-            cnt = count_points(q, tables, x=Fraction(num, den))
-        xf = num / den
-        xs[i] = xf
-        errs[i] = (cnt - vol * xf ** (2 * q + 2)) / xf ** (2 * q - 1)
-    return ErrorSample(q=q, x=xs, err=errs, num=nums, den=den)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, rho_chi_q, rho_q
-from .lattice import sample_normalized_errors
+from .empirical import ErrorSample, sample_errors
 from .phi import _amplitudes, _trig_sum
 
 
@@ -293,29 +293,22 @@ class GapReport:
     terms: int
 
 
-def gap_report(
-    q: int,
-    tables: ArithTables,
-    X: int,
-    n_samples: int = 200,
-    H: float | None = None,
-) -> GapReport:
-    """Mean square of (normalized error - S_{q,H}) over [X, 2X].
+def gap_report(series: ErrorSample, H: float | None = None) -> GapReport:
+    """Mean square of (normalized error - S_{q,H}) over the sampled window [X, 2X].
 
-    With H = X^2/2 this is the quantity that decays like X^-2 log^4 X.
-    For q = 3 the two short tail sums are part of the decomposition and
-    are subtracted as well.  The sums run on the sampler's grid
-    x = num/den by _chirp_sum; terms counts their terms.
+    With H = X^2/2, the default, this decays like X^-2 log^4 X.  For q = 3 the
+    two short tail sums of the decomposition are subtracted as well.  The sums
+    run on the sample's grid x = num/den by _chirp_sum; terms counts their terms.
     """
+    q, X = series.q, series.X
     if H is None:
         H = X * X / 2
-    series = sample_normalized_errors(q, tables, X, 2 * X, n_samples)
     rows = iter_S_rows(q, H)
     if q == 3:
         rows = itertools.chain(rows, _T_rows(q, H))
     approx, terms = _chirp_sum(rows, series.num, series.den)
     gap = float(np.mean((series.err - approx) ** 2))
-    return GapReport(gap=gap, H=H, samples=len(series.x), den=series.den, terms=terms)
+    return GapReport(gap=gap, H=H, samples=series.n, den=series.den, terms=terms)
 
 
 def mean_square_gap(
@@ -326,4 +319,4 @@ def mean_square_gap(
     H: float | None = None,
 ) -> float:
     """Mean square of (normalized error - S_{q,H}) over [X, 2X]: gap_report's gap."""
-    return gap_report(q, tables, X, n_samples, H).gap
+    return gap_report(sample_errors(q, tables, X, n_samples), H).gap

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heislat.arithmetic import build_r2q_prefix
+from heislat.empirical import sample_errors
 from heislat.phi import PhiTruncation, build_phi
 from heislat.voronoi import VoronoiCoefficients, mean_square_gap
 
@@ -38,3 +39,12 @@ def test_traced_counter_inputs():
     # worker calls mean_square_gap with (q, tables, X, n_samples) positionally
     assert isinstance(build_phi(3, 1, 4, 4).k, np.ndarray)
     assert 0 <= mean_square_gap(3, build_r2q_prefix(3, 400), 10, 8) < 10.0
+
+
+def test_window_sample_fields():
+    # the worker calls sample_errors(q, tables, X, n) positionally and reads
+    # x and err of every sample, and X and n of the window
+    series = sample_errors(3, build_r2q_prefix(3, 400), 10, 8)
+    assert (series.X, series.n) == (10, 8)
+    assert series.x.shape == series.err.shape == (8,)
+    assert np.all((series.x >= 10) & (series.x <= 20))

@@ -6,7 +6,8 @@ import struct
 
 import pytest
 
-from heislat.arithmetic import CACHE_MAGIC, load_tables
+from heislat import empirical
+from heislat.arithmetic import CACHE_MAGIC, build_r2q_prefix, load_tables
 from heislat.cli import run
 
 
@@ -187,6 +188,19 @@ def test_empirical_gaps_and_samples_csv(tmp_path, capsys):
     assert set(payload["component_sum_gaps"]) == {"0", "3"}
     lines = out.read_text().splitlines()
     assert lines[0] == "x,err" and len(lines) == 51
+
+
+def test_empirical_gaps_count_the_window_once(monkeypatch, capsys):
+    # with --samples <= 1500 the gaps read the reported window, so it is counted once
+    calls = []
+    real = empirical.count_points_fast
+    monkeypatch.setattr(empirical, "count_points_fast", lambda *a: calls.append(a) or real(*a))
+    assert run(["empirical", "--q", "3", "--X", "30", "--samples", "400", "--M", "3"]) == 0
+    assert len(calls) == 400
+    series = empirical.sample_errors(3, build_r2q_prefix(3, 60**2), 30, 400)
+    gaps = empirical.component_sum_l2_gap(series, [3])
+    want = {"schema": 1, "q": 3, "X": 30, **series.stats(), "component_sum_gaps": {str(k): v for k, v in gaps.items()}}
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_density_csv_out_keeps_json_on_stdout(tmp_path, capsys):

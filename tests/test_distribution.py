@@ -252,3 +252,21 @@ def test_density_budget_entries(small_grid):
 def test_density_rejects_undecayed_cutoff():
     with pytest.raises(CutoffError):
         density(3, m_max=30, A=0.01, d_mod=4, k_max=32)
+
+
+def test_density_probes_each_cutoff_once(small_grid, monkeypatch):
+    # the search's last |Phi(A)| is the probe; a given A is probed by density itself
+    scalars = []
+    real = distribution.char_function
+
+    def spy(q, sigma, *args):
+        if np.ndim(sigma) == 0:
+            scalars.append(sigma)
+        return real(q, sigma, *args)
+
+    monkeypatch.setattr(distribution, "char_function", spy)
+    located = density(3, m_max=30, d_mod=4, k_max=32)
+    assert len(scalars) == len(set(scalars)) and scalars[-1] == located.cutoff
+    given = density(3, m_max=30, d_mod=4, k_max=32, A=small_grid.cutoff)
+    assert located.error_budget["cutoff_remainder"] == small_grid.error_budget["cutoff_remainder"]
+    assert given.error_budget["cutoff_remainder"] == small_grid.error_budget["cutoff_remainder"]

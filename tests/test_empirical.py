@@ -1,5 +1,7 @@
 """Finite-dilation sampling and comparison against the limit law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,8 +59,23 @@ def test_ks_distance_gaussian_bounds(series):
     assert 0 <= d <= 1
 
 
-def test_component_sum_gap_decreases(tables_q3, series):
-    gaps = component_sum_l2_gap(3, tables_q3, 50, [1, 10], n_samples=400)
+def test_component_sum_gap_decreases(series):
+    gaps = component_sum_l2_gap(series, [1, 10])
     assert set(gaps) == {0, 1, 10}
     assert gaps[10] < gaps[0]
     assert all(v >= 0 for v in gaps.values())
+
+
+def test_grid_den_matches_the_search_it_replaced(monkeypatch):
+    # den depends on X only; a counting stub keeps the 1000 windows cheap
+    monkeypatch.setattr("heislat.empirical.count_points_fast", lambda *args: 0)
+
+    def is_prime(n):
+        return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+    for X in range(1, 1001):
+        den_max = 1
+        while (2 * X * (den_max + 1)) ** 4 * 2 < 2**62:
+            den_max += 1
+        want = next((d for d in range(den_max, 1, -1) if is_prime(d)), den_max)
+        assert sample_errors(3, None, X, 2).den == want, X

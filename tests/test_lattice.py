@@ -12,9 +12,9 @@ from heislat.lattice import (
     count_points_bruteforce,
     count_points_fast,
     normalized_error,
-    sample_normalized_errors,
     volume_unit_ball,
 )
+from heislat.empirical import sample_errors
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(99, 100), 1, Fraction(5, 4), Fraction(3, 2)])
@@ -101,8 +101,8 @@ def test_count_fast_budgets(tables_q3_small):
 
 
 def test_sample_normalized_errors(tables_q3_small):
-    res = sample_normalized_errors(3, tables_q3_small, 2, 4, 20)
-    assert len(res.x) == len(res.err) == 20
+    res = sample_errors(3, tables_q3_small, 2, 20)
+    assert len(res.x) == len(res.err) == res.n == 20
     assert res.x[0] >= 2 and res.x[-1] <= 4
     # spot check one sample against the scalar path
     i = 7
@@ -112,13 +112,13 @@ def test_sample_normalized_errors(tables_q3_small):
 
 def test_sampler_falls_back_to_exact_count(tables_q3_small, monkeypatch):
     # every sample the float64 kernel declines is recounted on Python integers
-    want = sample_normalized_errors(3, tables_q3_small, 2, 4, 20)
+    want = sample_errors(3, tables_q3_small, 2, 20)
 
     def declines(*args):
         raise BudgetError("x^4 too large for the float64 counting path")
 
-    monkeypatch.setattr("heislat.lattice.count_points_fast", declines)
-    got = sample_normalized_errors(3, tables_q3_small, 2, 4, 20)
+    monkeypatch.setattr("heislat.empirical.count_points_fast", declines)
+    got = sample_errors(3, tables_q3_small, 2, 20)
     assert got.den == want.den
     for field in ("x", "err", "num"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 from heislat import voronoi
 from heislat.arithmetic import _branch, _rep_weight, build_r2q_prefix, chi4, rho_chi_q, rho_q, two_square_reps
-from heislat.lattice import sample_normalized_errors
+from heislat.empirical import sample_errors
 from heislat.phi import _amplitudes, _trig_sum
 from heislat.voronoi import (
     _CHIRP_BLOCK,
@@ -189,9 +189,10 @@ def test_merged_rows_equal_unmerged_sums(q):
 
 
 def test_window_size_leaves_gap_unchanged(tables_q3, monkeypatch):
-    base = gap_report(3, tables_q3, 10, n_samples=40)
+    series = sample_errors(3, tables_q3, 10, 40)
+    base = gap_report(series)
     monkeypatch.setattr(voronoi, "_S_WINDOW", 8)
-    tiny = gap_report(3, tables_q3, 10, n_samples=40)
+    tiny = gap_report(series)
     assert tiny.terms == base.terms
     assert abs(tiny.gap - base.gap) <= 1e-12 * base.gap
 
@@ -281,7 +282,7 @@ def _chirp_against_direct(rows, num, den):
 @pytest.mark.parametrize("X", [10, 24])
 def test_chirp_matches_direct_on_sampler_grid(q, X):
     tables = build_r2q_prefix(q, (2 * X) ** 2)
-    series = sample_normalized_errors(q, tables, X, 2 * X, 96)
+    series = sample_errors(q, tables, X, 96)
     assert np.array_equal(series.x, series.num / series.den)
     H = X * X / 2
     rows = itertools.chain(iter_S_rows(q, H), _T_rows(q, H) if q == 3 else ())
@@ -320,8 +321,8 @@ def test_mean_square_gap_small_scale(tables_q3):
     gap = mean_square_gap(3, tables_q3, 10, n_samples=40)
     assert 0 <= gap < 10.0
     # the report behind it records what the gap was computed from
-    rep = gap_report(3, tables_q3, 10, n_samples=40)
-    series = sample_normalized_errors(3, tables_q3, 10, 20, 40)
+    series = sample_errors(3, tables_q3, 10, 40)
+    rep = gap_report(series)
     rows = itertools.chain(iter_S_rows(3, 50.0), _T_rows(3, 50.0))
     assert (rep.gap, rep.H, rep.samples, rep.den) == (gap, 50.0, 40, series.den)
     assert rep.terms == sum(int(np.count_nonzero(c)) for _, c, _ in rows)
