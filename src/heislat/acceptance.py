@@ -115,15 +115,8 @@ def criterion_5_third_moment():
 
 
 @lru_cache(maxsize=None)
-def _density_grid(m_max: int = 60, d_mod: int = 6, k_max: int = 64, half_step: bool = False, double_a: bool = False):
-    kwargs = {}
-    if half_step or double_a:
-        base = _density_grid()
-        if double_a:
-            kwargs["A"] = 2 * base.cutoff
-        if half_step:
-            kwargs["step"] = base.step / 2
-    return density(3, m_max=m_max, d_mod=d_mod, k_max=k_max, **kwargs)
+def _density_grid(m_max: int = 60, d_mod: int = 6, k_max: int = 64, A: float | None = None, step: float | None = None):
+    return density(3, m_max=m_max, A=A, step=step, d_mod=d_mod, k_max=k_max)
 
 
 def criterion_6_density_integrity():
@@ -143,12 +136,12 @@ def criterion_6_density_integrity():
         return False, f"third moment {third} not negative"
     if grid.p.min() < -1e-8:
         return False, f"density dips to {grid.p.min()}"
-    phi0 = complex(char_function(3, 0.0, grid.m_max, 6, 64, grid.tail_variance))
+    phi0 = complex(char_function(3, 0.0, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance))
     if abs(phi0 - 1) > 1e-12:
         return False, f"Phi(0) = {phi0}"
     sig = np.array([0.05, 0.11, 0.23]) * grid.cutoff
-    plus = char_function(3, sig, grid.m_max, 6, 64, grid.tail_variance)
-    minus = char_function(3, -sig, grid.m_max, 6, 64, grid.tail_variance)
+    plus = char_function(3, sig, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
+    minus = char_function(3, -sig, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
     sym = float(np.max(np.abs(plus - np.conj(minus))))
     if sym > 1e-10:
         return False, f"conjugate symmetry violated at {sym:.2e}"
@@ -221,8 +214,8 @@ def criterion_10_stability():
         "M": _density_grid(m_max=120),
         "D": _density_grid(d_mod=12),
         "K": _density_grid(k_max=128),
-        "A": _density_grid(double_a=True),
-        "step": _density_grid(half_step=True),
+        "A": _density_grid(A=2 * base.cutoff),
+        "step": _density_grid(step=base.step / 2),
     }
     for name, grid in variants.items():
         # each grid carries its own error budget; the triangle inequality

@@ -169,9 +169,10 @@ def _density(args):
     report = cdf_and_moments(grid)
     if args.out:
         _emit_csv(["x", "P"], zip(grid.x, grid.p), args.out)
-    _emit({"M": grid.m_max, "A": grid.cutoff, "sigma_step": grid.step, "x_step": grid.x_step,
-           "tail_variance": grid.tail_variance, "error_budget": grid.error_budget,
-           "moments": report["moments"], "abs_moments": report["abs_moments"]}, None)
+    _emit({"M": grid.m_max, "d_mod": grid.d_mod, "k_max": grid.k_max, "A": grid.cutoff,
+           "sigma_step": grid.step, "x_step": grid.x_step, "tail_variance": grid.tail_variance,
+           "error_budget": grid.error_budget, "moments": report["moments"],
+           "abs_moments": report["abs_moments"]}, None)
 
 
 @_command("empirical", "sampled error experiment over [X, 2X]",

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import BudgetError
-from .moments import q_ergodic, variance_series
+from .moments import _ergodic_value, _modulus_step, variance_series
 from .phi import build_phi, component_vanishes
 
 DEFAULT_D_MOD = 8
@@ -169,7 +169,7 @@ def char_function(
 
 @dataclass
 class DensityGrid:
-    """Sampled characteristic function and inverted density."""
+    """Sampled characteristic function and inverted density, with its truncation box."""
 
     q: int
     x: np.ndarray = field(repr=False)
@@ -177,6 +177,8 @@ class DensityGrid:
     sigma: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     m_max: int
+    d_mod: int
+    k_max: int
     cutoff: float
     step: float
     x_step: float
@@ -201,10 +203,7 @@ def tail_variance_estimate(
     Gaussian closure restores the total variance by construction.
     """
     total = variance_series(q).value
-    head = sum(
-        q_ergodic(q, m, 2, d_mod, k_max, _estimate_error=False).value
-        for m in contributing_m(m_max)
-    )
+    head = sum(_ergodic_value(q, m, 2, d_mod, k_max) for m in contributing_m(m_max))
     return max(total - head, 0.0)
 
 
@@ -224,7 +223,13 @@ def density(
     error_budget bounds or estimates each source of error in p, pointwise;
     factor_quadrature is the certified bound 2 sigma_max sum_m (bound_m +
     taylor_m) of _quadrature_level and the _phi_bins Taylor remainder.
+    tail_closure_residual and truncation_residual coarsen to m_max // 2 and
+    to _modulus_step(d_mod, k_max), so m_max < 8 or a box with no coarser
+    step raises ValueError.
     """
+    if m_max < 8:
+        raise ValueError(f"m_max = {m_max} has no coarser closure for its error estimate; need m_max >= 8")
+    coarse_box = _modulus_step(d_mod, k_max)
     v_tail = tail_variance_estimate(q, m_max, d_mod, k_max)
     # the variance the Gaussian closure restores, as tail_variance_estimate says
     variance = variance_series(q).value
@@ -271,9 +276,8 @@ def density(
 
     # the Gaussian closure, applied already at m_max // 2, and the truncation
     # of the components themselves, at the next coarser box
-    closure_residual = coarsened(m_max // 2, d_mod, k_max) if m_max >= 8 else 0.0
-    coarse_box = d_mod >= 4 and k_max >= 8
-    trunc_residual = coarsened(m_max, max(d_mod - 2, 2), k_max // 2) if coarse_box else 0.0
+    closure_residual = coarsened(m_max // 2, d_mod, k_max)
+    trunc_residual = coarsened(m_max, *coarse_box)
     # trapezoid periodization: the nearest image of the density sits at
     # distance 1/step from the grid, far out in the Gaussian-type tail
     image_dist = 1.0 / step - max(abs(x_min), abs(x_max))
@@ -297,8 +301,8 @@ def density(
         "aliasing": aliasing,
     }
     return DensityGrid(
-        q=q, x=x, p=p, sigma=sigma, phi=phi_vals, m_max=m_max, cutoff=A, step=step,
-        x_step=x_step, tail_variance=v_tail, error_budget=budget,
+        q=q, x=x, p=p, sigma=sigma, phi=phi_vals, m_max=m_max, d_mod=d_mod, k_max=k_max,
+        cutoff=A, step=step, x_step=x_step, tail_variance=v_tail, error_budget=budget,
     )
 
 

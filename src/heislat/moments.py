@@ -1,19 +1,21 @@
 """Integral moments of the almost periodic components and of the density.
 
 Q(m, l) denotes the mean of phi_m^l over long intervals.  Three routes are
-implemented: the analytic moment formula (frak_r coefficients, _frak_table)
-and the ergodic mean of the truncated component (its merged spectrum), which both
-take the zero bin of an l-fold convolution of an exact frequency spectrum
-(_zero_bin), and a closed-form double series for l = 2.  The moments of the
-limiting density follow from the Q(m, l) by one cumulant ledger: the
-components are independent, so their cumulants add.
+implemented: the analytic moment formula (the _frak_items spectrum of frak_r
+coefficients) and the ergodic mean of the truncated component (its merged
+spectrum), which both take the zero bin of an l-fold convolution of one
+(num, den, amp) spectrum format (_power_mean), and a closed-form double
+series for l = 2.  All three estimate their error by one rule (_moment)
+against a coarser box.  The moments of the limiting density follow from the
+Q(m, l) by one cumulant ledger: the components are independent, so their
+cumulants add.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .arithmetic import (
     _chi4_array,
     _frak_branch,
     _rep_weight,
-    eps_sign,
     rep_weights,
     zeta_value,
 )
@@ -57,33 +58,42 @@ def _frak_table(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.
 
 
 @lru_cache(maxsize=None)
-def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple:
-    """Nonzero (d, k, frak_r) triples with gcd(k, d) = 1 in the box, d-major."""
+def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The analytic spectrum (num, den, amp) = (eps(d) k, d, w (1 + i)), d-major.
+
+    One item per nonzero frak_r in the box with gcd(k, d) = 1, and
+    w = frak_r / (d^(q-1.5) k^1.5).  w (1 + i) = sqrt(2) w e^{i pi/4}, so phase
+    products stay exact; q_analytic divides the sqrt(2) factors out once.
+    """
     frak = _frak_table(q, m, d_max, k_max)[0].T
     d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
     dd, kk = np.nonzero(np.where(np.gcd.outer(d, k) == 1, frak, 0.0))
-    return tuple(zip((dd + 1).tolist(), (kk + 1).tolist(), frak[dd, kk].tolist()))
+    w = frak[dd, kk] / ((dd + 1.0) ** (q - 1.5) * (kk + 1.0) ** 1.5)
+    # eps_sign(d, q): -1 on even d for odd q
+    items = (np.where((q % 2 == 1) & (dd % 2 == 1), -1, 1) * (kk + 1), dd + 1, w * (1 + 1j))
+    for arr in items:
+        arr.setflags(write=False)
+    return items
 
 
 _BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
 
 
-def _zero_bin(spec: dict, ell: int, budget: int) -> complex:
-    """Zero bin of the ell-fold convolution of spec {integer frequency: amplitude}.
+def _power_mean(num: np.ndarray, den: np.ndarray, amp: np.ndarray, ell: int) -> complex:
+    """Zero bin of the ell-fold convolution, ell >= 2, of the spectrum {num/den: amp, -num/den: conj amp}.
 
-    With half = spec^{*floor(l/2)} by dict convolution, the zero bin is
+    Frequencies are exact integers in units of 1/lcm(den).  With half =
+    spec^{*floor(l/2)} by dict convolution, the zero bin is
     sum_f half[f] half[-f] for even l, sum_{f,g} half[f] spec[g] half[-f-g]
-    for odd l.  budget bounds the products of one convolution step,
+    for odd l.  _BUDGET bounds the products of one convolution step,
     len(half) * len(spec); BudgetError is raised before a step exceeds it.
     """
-    if ell == 1:
-        return spec.get(0, 0j)
+    f = num * (math.lcm(1, *den.tolist()) // den.astype(object))
+    spec = dict(zip(np.stack([f, -f], 1).ravel().tolist(), np.stack([amp, amp.conj()], 1).ravel().tolist()))
 
     def check_budget(n_half: int) -> None:
-        if n_half * len(spec) > budget:
-            raise BudgetError(
-                f"{n_half} x {len(spec)} products exceed the convolution budget {budget}"
-            )
+        if n_half * len(spec) > _BUDGET:
+            raise BudgetError(f"{n_half} x {len(spec)} products exceed the convolution budget {_BUDGET}")
 
     half = spec
     for _ in range(ell // 2 - 1):
@@ -99,104 +109,88 @@ def _zero_bin(spec: dict, ell: int, budget: int) -> complex:
     return sum(a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items())
 
 
-def q_analytic(
-    q: int,
-    m: int,
-    ell: int,
-    d_max: int = 16,
-    k_max: int = 16,
-    _estimate_error: bool = True,
-) -> MomentValue:
+def _halved(d_max: int, k_max: int) -> tuple[int, int]:
+    """The coarse box of the analytic and closed routes: both depths halved."""
+    if d_max < 4 or k_max < 4:
+        raise ValueError(f"box ({d_max}, {k_max}) has no halved box for its error estimate; both need >= 4")
+    return d_max // 2, k_max // 2
+
+
+def _modulus_step(d_mod: int, k_max: int) -> tuple[int, int]:
+    """The coarse box of q_ergodic and of density's truncation_residual: (d_mod - 2, k_max / 2)."""
+    if d_mod < 4 or k_max < 8:
+        raise ValueError(f"box ({d_mod}, {k_max}) has no coarser box for its error estimate; need d_mod >= 4, k_max >= 8")
+    return d_mod - 2, k_max // 2
+
+
+def _moment(method: str, m: int, ell: int, value_at, box: tuple, ladder, meta: dict) -> MomentValue:
+    """Q(m, l) = value_at(*box) by one route, with the one error rule of all three.
+
+    Exact zeros, of a vanishing phi_m or at l = 1, hold at any box.  Otherwise
+    the error is 1e-12 (1 + |v|) + 2 |v - value_at(*ladder(*box))|: the
+    route's ladder, _halved or _modulus_step, gives its next coarser box and
+    raises ValueError where there is none.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if component_vanishes(m):
+        return MomentValue(0.0, 0.0, method, {"vanishes": True})
+    if ell == 1:
+        return MomentValue(0.0, 0.0, method, {"exact": True})
+    coarse = ladder(*box)
+    value = value_at(*box)
+    return MomentValue(value, 1e-12 * (1 + abs(value)) + 2 * abs(value - value_at(*coarse)), method, meta)
+
+
+def q_analytic(q: int, m: int, ell: int, d_max: int = 16, k_max: int = 16) -> MomentValue:
     """Q(m, l) from the analytic moment formula, as one spectrum convolution.
 
     The formula sums prod w_i cos(pi/4 sum e_i) over ordered l-tuples of box
     items (d_i, k_i) and signs e_i = +-1 whose frequencies e_i eps(d_i) k_i/d_i
     add up to zero exactly, with w = frak_r / (d^(q-1.5) k^1.5).  Since
     cos(pi/4 sum e_i) = Re prod e^{i pi e_i/4}, the sum is the real part of
-    the zero bin of the l-fold convolution of the spectrum
-    spec = {e eps(d) k/d: w e^{i pi e/4}}, whose frequencies are kept as exact
-    integers in units of 1/lcm(1..d_max); _zero_bin runs at _BUDGET.
-    The error estimate is coarsening-based: twice the change observed when
-    the box is halved.
+    the _power_mean of the _frak_items spectrum.  Its ladder is _halved.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if component_vanishes(m):
-        return MomentValue(0.0, 0.0, "analytic", {"vanishes": True})
-    if ell == 1:
-        return MomentValue(0.0, 0.0, "analytic", {"exact": True})
-    items = _frak_items(q, m, d_max, k_max)
-    unit = math.lcm(*range(1, d_max + 1))
-    spec = {}
-    for d, k, v in items:
-        w = v / (d ** (q - 1.5) * k**1.5)
-        f = eps_sign(d, q) * k * (unit // d)
-        # w (1 + ie) = sqrt(2) w e^{i pi e/4}: phase products stay exact, and
-        # the sqrt(2) factors are divided out once at the end
-        spec[f] = complex(w, w)
-        spec[-f] = complex(w, -w)
-    value = _moment_prefactor(q, ell, m) * _zero_bin(spec, ell, _BUDGET).real / 2 ** (ell / 2)
-    err = 1e-12 * (1 + abs(value))
-    if _estimate_error and d_max >= 4 and k_max >= 4:
-        coarse = q_analytic(q, m, ell, d_max // 2, k_max // 2, _estimate_error=False)
-        err += 2 * abs(value - coarse.value)
-    return MomentValue(value, err, "analytic", {"d_max": d_max, "k_max": k_max, "terms": len(items)})
+
+    def value_at(d, k):
+        return _moment_prefactor(q, ell, m) * _power_mean(*_frak_items(q, m, d, k), ell).real / 2 ** (ell / 2)
+
+    meta = {"d_max": d_max, "k_max": k_max, "terms": len(_frak_items(q, m, d_max, k_max)[0])}
+    return _moment("analytic", m, ell, value_at, (d_max, k_max), _halved, meta)
 
 
-def q2_closed(
-    q: int, m: int, d_max: int = 40, k_max: int = 40, _estimate_error: bool = True
-) -> MomentValue:
+def q2_closed(q: int, m: int, d_max: int = 40, k_max: int = 40) -> MomentValue:
     """Q(m, 2) from the closed-form double series.
 
-    The error estimate is coarsening-based: twice the change observed when
-    the truncation depths are halved (the k-sum decays like k^-3 and the
-    d-sum like d^(3-2q), so the halved-box change dominates the true tail).
+    Its ladder is _halved, whose box is a corner of this one's table (the
+    k-sum decays like k^-3 and the d-sum like d^(3-2q), so the halved-box
+    change dominates the true tail).
     """
-    if component_vanishes(m):
-        return MomentValue(0.0, 0.0, "closed2", {"vanishes": True})
     frak, n = _frak_table(q, m, d_max, k_max)
     d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
     terms = np.where(np.gcd.outer(n, d) == 1, frak**2, 0.0) / np.multiply.outer(k**3, d ** (2.0 * q - 3))
     pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2 / m**1.5
-    value = pref * float(np.sum(terms))
-    err = 1e-12 * (1 + abs(value))
-    if _estimate_error and d_max >= 4 and k_max >= 4:
-        # the halved box is a corner of this one
-        err += 2 * abs(value - pref * float(np.sum(terms[: k_max // 2, : d_max // 2])))
-    return MomentValue(value, err, "closed2", {"d_max": d_max, "k_max": k_max})
+    return _moment("closed2", m, 2, lambda d_top, k_top: pref * float(np.sum(terms[:k_top, :d_top])),
+                   (d_max, k_max), _halved, {"d_max": d_max, "k_max": k_max})
 
 
-def q_ergodic(
-    q: int, m: int, ell: int, d_mod: int = 8, k_max: int = 64, _estimate_error: bool = True
-) -> MomentValue:
+def _ergodic_value(q: int, m: int, ell: int, d_mod: int, k_max: int) -> float:
+    num, den, amp = build_phi(q, m, d_mod, k_max).spectrum()
+    return _power_mean(num, den, amp / 2, ell).real
+
+
+def q_ergodic(q: int, m: int, ell: int, d_mod: int = 8, k_max: int = 64) -> MomentValue:
     """Q(m, l) as the mean of phi_m^l over one exact period, with no grid.
 
     The truncated component phi(t) = Re sum a e^{2 pi i f t}
     (PhiTruncation.spectrum) is sum a/2 e^{2 pi i f t} + conj(a)/2 e^{-2 pi i f t},
-    so the mean of phi^l is the zero bin (_zero_bin at _BUDGET,
-    so BudgetError at l >= 5 in the default box) of the l-fold
-    convolution of this two-sided spectrum, in exact units of 1/period of phi_m.
-    The error estimate adds twice the change against a coarser component.
+    so the mean of phi^l is the _power_mean of the spectrum with amplitudes
+    a/2 (BudgetError at l >= 5 in the default box).  Its ladder is
+    _modulus_step.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if component_vanishes(m):
-        return MomentValue(0.0, 0.0, "ergodic", {"vanishes": True})
     trunc = build_phi(q, m, d_mod, k_max)
-    P = trunc.period
-    num, den, amp = trunc.spectrum()
-    spec = {}
-    for n, d, a in zip(num.tolist(), den.tolist(), amp.tolist()):
-        spec[n * (P // d)] = a / 2
-        spec[-n * (P // d)] = a.conjugate() / 2
-    value = _zero_bin(spec, ell, _BUDGET).real
-    err = 1e-12 * (1 + abs(value))
-    if _estimate_error and d_mod >= 4 and k_max >= 8:
-        coarse = q_ergodic(
-            q, m, ell, max(d_mod - 2, 2), k_max // 2, _estimate_error=False
-        )
-        err += 2 * abs(value - coarse.value)
-    return MomentValue(value, err, "ergodic", {"period": P, "frequencies": len(num)})
+    meta = {"period": trunc.period, "frequencies": len(trunc.spectrum()[0])}
+    return _moment("ergodic", m, ell, partial(_ergodic_value, q, m, ell), (d_mod, k_max), _modulus_step, meta)
 
 
 def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) -> MomentValue:

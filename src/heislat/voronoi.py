@@ -86,9 +86,10 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     every distinct step t, u_t = e^{2 pi i f (2tN + t^2)/den^2} advances by
     u_t <- u_t e^{2 pi i f 2ts/den^2}.  So each term costs one exp per
     constant, with its phase reduced mod 1 in turns first, and complex
-    multiplies from sample to sample.  Terms go in blocks of about
-    _CHIRP_BLOCK, so memory stays O(block x steps^2).  Returns the sums and
-    the number of terms.
+    multiplies from sample to sample.  The terms y = amp z advance with z,
+    and each sample sums Re y, with no BLAS call.  Terms go in blocks of
+    about _CHIRP_BLOCK, so memory stays O(block x steps^2).  Returns the sums
+    and the number of terms.
     """
     num = np.asarray(num, dtype=np.int64)
     steps, step_idx = np.unique(np.diff(num), return_inverse=True)
@@ -101,16 +102,13 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         # a function of its own, so one block's arrays are freed before the next
         v = _pair_turns(pair, freq)
         u = _turns(np.multiply.outer(start, freq))
-        z = _turns(freq * x0sq)
-        # Re(amp z) = Re amp Re z - Im amp Im z: the interleaved dot is the fast one
-        weight = np.conj(amp).view(np.float64)
-        zf = z.view(np.float64)
+        y = amp * _turns(freq * x0sq)
         sums = np.empty(len(num))
-        sums[0] = zf @ weight
+        sums[0] = y.real.sum()
         for i, a in enumerate(step_idx, 1):
-            z *= u[a]
+            y *= u[a]
             u *= v[a]
-            sums[i] = zf @ weight
+            sums[i] = y.real.sum()
         return sums
 
     out = np.zeros(len(num))

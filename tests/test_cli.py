@@ -72,6 +72,12 @@ def test_moments_ergodic_over_budget_exit_3(capsys):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_moments_box_without_coarse_box_exit_2(capsys):
+    assert run(["moments", "--q", "3", "--m", "1", "--l", "2", "--method", "closed2", "--D", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "box (3, 40)" in captured.err
+
+
 def test_moments_routes_agree(capsys):
     assert run(["moments", "--q", "3", "--m", "2", "--l", "2", "--method", "closed2"]) == 0
     closed = json.loads(capsys.readouterr().out)
@@ -96,6 +102,13 @@ def test_density_json_abs_moments(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload["abs_moments"]) == ["0.5", "1", "1.5", "2"]
     assert payload["abs_moments"]["2"] == pytest.approx(payload["moments"][2], rel=1e-12)
+
+
+def test_density_json_names_its_box(capsys):
+    assert run(["density", "--q", "3", "--M", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload)[:5] == ["schema", "M", "d_mod", "k_max", "A"]
+    assert (payload["M"], payload["d_mod"], payload["k_max"]) == (20, 8, 64)
 
 
 def test_voronoi_gap_json_provenance(capsys):

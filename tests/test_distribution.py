@@ -249,6 +249,17 @@ def test_density_budget_entries(small_grid):
     assert small_grid.total_error == pytest.approx(sum(budget.values()))
 
 
+def test_density_records_its_box(small_grid):
+    assert (small_grid.m_max, small_grid.d_mod, small_grid.k_max) == (30, 4, 32)
+
+
+@pytest.mark.parametrize("box", [{"d_mod": 3}, {"k_max": 4}, {"m_max": 7}])
+def test_density_without_coarse_box_raises(box):
+    # truncation_residual and tail_closure_residual need a coarser box
+    with pytest.raises(ValueError):
+        density(3, **{"m_max": 30, "d_mod": 4, "k_max": 32, **box})
+
+
 def test_density_rejects_undecayed_cutoff():
     with pytest.raises(CutoffError):
         density(3, m_max=30, A=0.01, d_mod=4, k_max=32)

@@ -62,7 +62,7 @@ def test_ergodic_matches_grid_quadrature(q, m, d_mod, k_max):
     vals = trunc.grid_values(trunc.period * pow2)
     for ell in (2, 3, 4):
         want = float(np.mean(vals**ell))
-        got = q_ergodic(q, m, ell, d_mod, k_max, _estimate_error=False).value
+        got = q_ergodic(q, m, ell, d_mod, k_max).value
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -92,9 +92,47 @@ def test_third_moment_pinned(m, ergodic, analytic):
     # 1 / period of phi_m: 840 for m = 1, 1 for m = 5.  Negating _frak_branch
     # on d = 0 mod 4 moves the analytic Q(1, 3) to -87.55; the error bars of
     # both routes are too wide for a cross-route check to see that
-    got = q_ergodic(3, m, 3, 8, 8, _estimate_error=False).value
+    got = q_ergodic(3, m, 3, 8, 8).value
     assert got == pytest.approx(ergodic, rel=1e-12)
     assert q_analytic(3, m, 3, 8, 8).value == pytest.approx(analytic, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "route, box, coarse",
+    [
+        (lambda q, m, d, k: q_analytic(q, m, 3, d, k), (8, 8), (4, 4)),
+        (lambda q, m, d, k: q2_closed(q, m, d, k), (24, 16), (12, 8)),
+        (lambda q, m, d, k: q_ergodic(q, m, 3, d, k), (8, 16), (6, 8)),
+    ],
+    ids=["analytic", "closed2", "ergodic"],
+)
+@pytest.mark.parametrize("q, m", [(3, 1), (4, 5)])
+def test_one_coarsening_rule(route, box, coarse, q, m):
+    # halving for the analytic and closed routes, one modulus step for ergodic
+    mv, v_coarse = route(q, m, *box), route(q, m, *coarse).value
+    assert mv.error == 1e-12 * (1 + abs(mv.value)) + 2 * abs(mv.value - v_coarse)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: q2_closed(3, 1, 3, 40),
+        lambda: q_analytic(3, 1, 2, 8, 3),
+        lambda: q_ergodic(3, 1, 2, 8, 4),
+        lambda: q_ergodic(3, 1, 2, 3, 64),
+    ],
+    ids=["closed2-d", "analytic-k", "ergodic-k", "ergodic-d"],
+)
+def test_box_without_coarse_box_raises(call):
+    # the error estimate needs a coarser box; a near-zero error would be wrong
+    with pytest.raises(ValueError, match="box"):
+        call()
+
+
+def test_exact_zeros_at_any_box():
+    exact = [q_analytic(3, 1, 1, 2, 2), q_ergodic(3, 1, 1, 2, 2), q2_closed(3, 3, 2, 2),
+             q_analytic(3, 9, 2, 2, 2), q_ergodic(4, 21, 2, 2, 2)]
+    assert all((mv.value, mv.error) == (0.0, 0.0) for mv in exact)
 
 
 def test_second_moments_positive_errors_finite():

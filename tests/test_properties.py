@@ -67,7 +67,7 @@ def test_mobius_square_kills(n):
 @settings(max_examples=60, deadline=None)
 def test_vanishing_support_consistency(m):
     if component_vanishes(m):
-        assert q2_closed(3, m, _estimate_error=False).value == 0.0
+        assert q2_closed(3, m).value == 0.0
         trunc = build_phi(3, m, 8, 8)
         assert np.max(np.abs(trunc(np.linspace(0, 3, 10)))) == 0.0
 
