@@ -18,6 +18,10 @@ from .distribution import DensityGrid, cdf_and_moments
 from .lattice import count_points, count_points_fast, volume_unit_ball
 from .phi import partial_sum_phi
 
+# the sampler's denominator: a prime far above every modulus of phi_m's spectrum,
+# so the grid x = N/GRID_DEN does not resonate with its rational frequencies
+GRID_DEN = 4001
+
 
 @dataclass
 class ErrorSample:
@@ -46,40 +50,28 @@ class ErrorSample:
         }
 
 
-def _is_prime(n: int) -> bool:
-    """Trial division; the sampler asks only about denominators below 4e4."""
-    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
 def sample_errors(q: int, tables: ArithTables, X: int, n_samples: int) -> ErrorSample:
-    """Normalized error on an equispaced rational grid over [X, 2X].
+    """Normalized error at x_i = (X GRID_DEN + i step)/GRID_DEN, step = X GRID_DEN // (n - 1), in [X, 2X].
 
-    Samples that count_points_fast declines with BudgetError go to count_points.
+    BudgetError when step < 1.  Samples that count_points_fast declines with
+    BudgetError go to count_points.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if X < 1:
         raise ValueError("need X >= 1")
-    # sample on a lattice of spacing 1/den, with den the largest prime such
-    # that 2 (2X den)^4 < 2^62 (a prime spacing avoids resonating with
-    # small-denominator frequencies of the almost periodic error).  The rule
-    # defines the grid and is kept so that samples stay reproducible; the
-    # counting kernel itself needs only floor(x^4) < 2^52.
-    den_max = max(math.isqrt(math.isqrt(2**61 - 1)) // (2 * X), 1)
-    den = next((d for d in range(den_max, 1, -1) if _is_prime(d)), den_max)
-    if den < -(-(n_samples - 1) // X):
+    den = GRID_DEN
+    step = X * den // (n_samples - 1)
+    if step < 1:
         raise BudgetError("more samples than points on the 1/den grid")
     vol = volume_unit_ball(q)
     nums = np.empty(n_samples, dtype=np.int64)
     xs = np.empty(n_samples)
     errs = np.empty(n_samples)
-    slots = X * den
     for i in range(n_samples):
-        j = round(i * slots / (n_samples - 1))
-        num = nums[i] = X * den + j
-        g = math.gcd(num, den)
+        num = nums[i] = X * den + i * step
         try:
-            cnt = count_points_fast(q, tables, num // g, den // g)
+            cnt = count_points_fast(q, tables, num, den)
         except BudgetError:
             cnt = count_points(q, tables, x=Fraction(num, den))
         xf = num / den

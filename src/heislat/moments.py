@@ -233,15 +233,8 @@ def variance_series(q: int, d_max: int = 15) -> MomentValue:
 @lru_cache(maxsize=None)
 def _variance_series(q: int, d_max: int) -> tuple[float, float]:
     n_limit = VARIANCE_N_LIMIT
-    amax = math.isqrt(n_limit)
-    a_list, b_list = [], []
-    for a in range(amax + 1):
-        bmax = math.isqrt(n_limit - a * a)
-        b = np.arange(0, bmax + 1, dtype=np.int64)
-        a_list.append(np.full(len(b), a, dtype=np.int64))
-        b_list.append(b)
-    A = np.concatenate(a_list)
-    B = np.concatenate(b_list)
+    sq = np.arange(math.isqrt(n_limit) + 1, dtype=np.int64) ** 2
+    A, B = np.nonzero(np.add.outer(sq, sq) <= n_limit)
     N = A * A + B * B
     keep = N >= 1
     A, B, N = A[keep], B[keep], N[keep]
@@ -249,8 +242,9 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
     W = mult * _rep_weight(A.astype(np.float64), N, q)
 
     half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
-    n = np.arange(n_limit + 1, dtype=np.float64)
-    n[0] = 1.0
+    n_pow = np.arange(n_limit + 1, dtype=np.float64)
+    n_pow[0] = 1.0
+    n_pow **= -1.5
     s = 2 * q - 3
     total = d_partial = 0.0
     for d in range(1, d_max + 1):
@@ -259,14 +253,13 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
             continue
         d_partial += factor**2 * d**-s
         sel = B % d == 0
-        r2d = np.zeros(n_limit + 1)
         weights = W[sel] * _chi4_array(A[sel]) if twisted else W[sel]
-        np.add.at(r2d, N[sel], weights)
+        r2d = np.bincount(N[sel], weights, minlength=n_limit + 1)
         coprime = np.ones(n_limit + 1, dtype=bool)
         for p in range(2, d + 1):  # every divisor p > 1 of d; primes would suffice
             if d % p == 0:
                 coprime[::p] = False
-        terms = r2d[coprime] ** 2 * n[coprime] ** -1.5
+        terms = r2d[coprime] ** 2 * n_pow[coprime]
         contrib = float(np.sum(terms))
         total += factor**2 * contrib / d**s
         if d == 1:

@@ -79,35 +79,33 @@ def _term_blocks(rows):
 
 
 def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """Sum of the rows' terms at x = num/den.
+    """Sum of the rows' terms at x = num/den, for integer numerators num_i = N + i s.
 
-    Takes the integer numerators num of the samples, in order.  With
-    N' = N + s, z = e^{2 pi i f N^2/den^2} advances by z <- z u_s, and for
-    every distinct step t, u_t = e^{2 pi i f (2tN + t^2)/den^2} advances by
-    u_t <- u_t e^{2 pi i f 2ts/den^2}.  So each term costs one exp per
-    constant, with its phase reduced mod 1 in turns first, and complex
-    multiplies from sample to sample.  The terms y = amp z advance with z,
-    and each sample sums Re y, with no BLAS call.  Terms go in blocks of
-    about _CHIRP_BLOCK, so memory stays O(block x steps^2).  Returns the sums
-    and the number of terms.
+    Each term takes y = amp e(f N^2/den^2), u = e(f (2Ns + s^2)/den^2) and
+    v = e(2 f s^2/den^2), e(t) = e^{2 pi i t} with t reduced mod 1 in turns
+    first, and advances from sample to sample by y <- y u, u <- u v.  Each
+    sample sums Re y, with no BLAS call.  Terms go in blocks of about
+    _CHIRP_BLOCK.  Returns the sums and the number of terms; ValueError
+    unless num is an arithmetic progression.
     """
     num = np.asarray(num, dtype=np.int64)
-    steps, step_idx = np.unique(np.diff(num), return_inverse=True)
+    N, s = int(num[0]), int(num[1] - num[0]) if len(num) > 1 else 0
+    if np.any(np.diff(num) != s):
+        raise ValueError("the chirp needs equispaced numerators")
     den2 = den * den
-    x0sq = int(num[0]) ** 2 / den2
-    start = (2 * int(num[0]) * steps + steps * steps) / den2
-    pair = 2 * np.multiply.outer(steps, steps) / den2
+    # the phases of y, u and v in turns per unit frequency
+    ty, tu, tv = N * N / den2, (2 * N * s + s * s) / den2, 2 * s * s / den2
 
     def block_sums(freq, amp):
         # a function of its own, so one block's arrays are freed before the next
-        v = _pair_turns(pair, freq)
-        u = _turns(np.multiply.outer(start, freq))
-        y = amp * _turns(freq * x0sq)
+        v = _turns(tv * freq)
+        u = _turns(tu * freq)
+        y = amp * _turns(freq * ty)
         sums = np.empty(len(num))
         sums[0] = y.real.sum()
-        for i, a in enumerate(step_idx, 1):
-            y *= u[a]
-            u *= v[a]
+        for i in range(1, len(num)):
+            y *= u
+            u *= v
             sums[i] = y.real.sum()
         return sums
 
@@ -117,14 +115,6 @@ def _chirp_sum(rows, num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         out += block_sums(freq, amp)
         terms += len(amp)
     return out, terms
-
-
-def _pair_turns(pair: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """_turns(outer(pair, freq)) for a symmetric pair: one exp per unordered pair, copied to its mirror."""
-    upper = np.triu_indices(len(pair))
-    v = np.empty(pair.shape + freq.shape, dtype=np.complex128)
-    v[upper] = v[upper[::-1]] = _turns(np.multiply.outer(pair[upper], freq))
-    return v
 
 
 def _turns(t: np.ndarray) -> np.ndarray:

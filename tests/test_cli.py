@@ -72,6 +72,11 @@ def test_moments_ergodic_over_budget_exit_3(capsys):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_empirical_more_samples_than_grid_points_exit_3(capsys):
+    assert run(["empirical", "--q", "3", "--X", "1", "--samples", "4003"]) == 3
+    assert "budget error" in capsys.readouterr().err
+
+
 def test_moments_box_without_coarse_box_exit_2(capsys):
     assert run(["moments", "--q", "3", "--m", "1", "--l", "2", "--method", "closed2", "--D", "3"]) == 2
     captured = capsys.readouterr()
@@ -115,7 +120,7 @@ def test_voronoi_gap_json_provenance(capsys):
     assert run(["voronoi-gap", "--q", "3", "--X", "6", "--samples", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["X"] == 6 and payload["H"] == 18.0 and payload["samples"] == 12
-    assert payload["den"] > 1 and payload["terms"] > 0
+    assert payload["den"] == empirical.GRID_DEN and payload["terms"] > 0
     assert 0 <= payload["gap"] < 10.0
 
 

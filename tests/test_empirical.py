@@ -1,12 +1,12 @@
 """Finite-dilation sampling and comparison against the limit law."""
 
-import math
-
 import numpy as np
 import pytest
 
+from heislat.arithmetic import BudgetError
 from heislat.distribution import density
 from heislat.empirical import (
+    GRID_DEN,
     component_sum_l2_gap,
     empirical_lambda_moment,
     ks_distance,
@@ -66,16 +66,21 @@ def test_component_sum_gap_decreases(series):
     assert all(v >= 0 for v in gaps.values())
 
 
-def test_grid_den_matches_the_search_it_replaced(monkeypatch):
-    # den depends on X only; a counting stub keeps the 1000 windows cheap
+def test_grid_is_one_step_on_the_fixed_den(monkeypatch):
+    # the grid depends on X and n only; a counting stub keeps the windows cheap
     monkeypatch.setattr("heislat.empirical.count_points_fast", lambda *args: 0)
+    for X, n in [(1, 2), (1, 4002), (2, 20), (10, 40), (75, 4000), (80, 96), (300, 4000), (450, 97)]:
+        s = sample_errors(3, None, X, n)
+        assert s.den == GRID_DEN and s.n == n
+        assert len(set(np.diff(s.num).tolist())) == 1, (X, n)
+        assert s.num[0] == X * GRID_DEN and s.num[-1] <= 2 * X * GRID_DEN, (X, n)
+        assert np.array_equal(s.x, s.num / GRID_DEN)
 
-    def is_prime(n):
-        return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
-    for X in range(1, 1001):
-        den_max = 1
-        while (2 * X * (den_max + 1)) ** 4 * 2 < 2**62:
-            den_max += 1
-        want = next((d for d in range(den_max, 1, -1) if is_prime(d)), den_max)
-        assert sample_errors(3, None, X, 2).den == want, X
+def test_more_samples_than_grid_points_raise_before_counting(monkeypatch):
+    def counts(*args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr("heislat.empirical.count_points_fast", counts)
+    with pytest.raises(BudgetError, match="more samples"):
+        sample_errors(3, None, 1, 4003)

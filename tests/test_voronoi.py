@@ -293,11 +293,10 @@ def test_chirp_matches_direct_on_sampler_grid(q, X):
 @pytest.mark.parametrize(
     "q, H, num, den, min_terms",
     [
-        (4, 40.0, np.cumsum([1000, 3, 7, 1, 7, -2, 3, 3, 1, -2, 7]), 97, 0),
         (3, 40.0, [500, 777], 101, 0),
-        (3, 200.0, 17 * 401 + np.array([0, 40, 81, 121, 162, 202, 243]), 401, 3 * _CHIRP_BLOCK),
+        (3, 200.0, 17 * 401 + 40 * np.arange(7), 401, 3 * _CHIRP_BLOCK),
     ],
-    ids=["four-steps-one-negative", "two-points", "several-blocks"],
+    ids=["two-points", "several-blocks"],
 )
 def test_chirp_matches_direct_on_synthetic_grid(q, H, num, den, min_terms):
     diff, tol, terms = _chirp_against_direct(iter_S_rows(q, H), num, den)
@@ -305,15 +304,10 @@ def test_chirp_matches_direct_on_synthetic_grid(q, H, num, den, min_terms):
     assert terms > min_terms
 
 
-def test_chirp_pair_exps_bit_identical_to_full_outer_product(monkeypatch):
-    # three distinct steps (5, 7 and -3): one exp per unordered step pair gives the same sums
-    num = np.cumsum([900, 5, 7, 5, -3, 7, 7, 5, -3])
-    assert len(np.unique(np.diff(num))) == 3
-    rows = list(iter_S_rows(3, 40.0))
-    got, _ = _chirp_sum(iter(rows), num, 97)
-    monkeypatch.setattr(voronoi, "_pair_turns", lambda pair, freq: voronoi._turns(np.multiply.outer(pair, freq)))
-    want, _ = _chirp_sum(iter(rows), num, 97)
-    assert np.array_equal(got, want)
+def test_chirp_rejects_numerators_off_one_step():
+    # four steps, one of them negative: the recurrence holds for one step only
+    with pytest.raises(ValueError, match="equispaced"):
+        _chirp_sum(iter_S_rows(4, 40.0), np.cumsum([1000, 3, 7, 1, 7, -2, 3, 3, 1, -2, 7]), 97)
 
 
 def test_mean_square_gap_small_scale(tables_q3):
