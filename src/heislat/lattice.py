@@ -113,30 +113,63 @@ def normalized_error(q: int, tables: ArithTables | None = None, x=None, x2=None,
     return (n - main) / xf ** (2 * q - 1)
 
 
-def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> int:
-    """Exact count for x = x_num/x_den in one folded, blocked float64 pass.
+# u-values per block of count_points_fast, and the bound its float64 sums must stay under
+_BLOCK = 2**16
+_SUM_BOUND_CAP = 2.0**62
 
-    floor(sqrt(x^4 - w^2)) = isqrt(P0 - w^2) with P0 = floor(x^4).  Below
-    2^52 each float root t of s = P0 - w^2 is certified by t^2 <= s < (t+1)^2,
-    exactly in float64.  BudgetError when P0 >= 2^52, the tables stop short
-    of isqrt(P0) or a certificate fails; count_points runs on Python integers.
+
+def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> int:
+    """Exact count for x = x_num/x_den from one float64 root per u past the diagonal.
+
+    With P0 = floor(x^4), W = isqrt(P0) and A = tables.prefix, the count is
+    2 Q - A(W), where Q sums the weight r(s) = A(s) - A(s - 1) over the
+    quadrant {(s, w) >= 0 : s^2 + w^2 <= P0}.  Split it at a = isqrt(P0 // 2):
+    the square [0, a]^2, which 2 a^2 <= P0 puts inside, gives (a + 1) A(a);
+    the strip w > a gives sum A(k_u) and the strip s > a gives
+    sum r(u) (k_u + 1), both over a < u <= W with k_u = isqrt(P0 - u^2).
+    The pieces are disjoint and cover, since w >= a + 1 gives
+    w^2 > P0/2 > s^2, so s <= a, and likewise with s and w swapped.  Below
+    2^52 each float root t of P0 - u^2 is certified by t^2 <= s < (t+1)^2,
+    exactly in float64; r(u) is np.diff of the slice A[a:W+1].
+
+    The strip sums can pass int64.  They are taken exactly mod 2^64 in uint64
+    and once more in float64, off by at most (2n + 2) 2^-53 times that sum
+    for its 2n summands, n = W - a.  While that bound stays below 2^62 the
+    two fix the exact integer.  BudgetError when P0 >= 2^52, the tables stop
+    short of W, a certificate fails or the bound does not hold;
+    count_points runs on Python integers.
     """
+    if tables.q != q:
+        raise ValueError("tables were built for a different q")
     p0 = x_num**4 // x_den**4
     if p0 >= 2**52:
         raise BudgetError("x^4 too large for the float64 counting path")
     wmax = math.isqrt(p0)
     if wmax > tables.limit:
         raise BudgetError("tables too small for the requested dilation")
-    hi = lo = 0
-    for start in range(0, wmax + 1, 2**16):  # w >= 0; w and -w fold below
-        s = np.arange(start, min(start + 2**16, wmax + 1), dtype=np.float64)
-        np.subtract(p0, s * s, out=s)
+    a = math.isqrt(p0 // 2)
+    prefix = tables.prefix
+    wrapped, approx = 0, 0.0
+    for start in range(a + 1, wmax + 1, _BLOCK):
+        stop = min(start + _BLOCK, wmax + 1)
+        s = np.arange(start, stop, dtype=np.float64)
+        np.multiply(s, s, out=s)
+        np.subtract(p0, s, out=s)
         t = np.floor(np.sqrt(s))
-        r = s - t * t - t  # t = isqrt(s) iff 0 <= s - t^2 <= 2t
-        if not (np.abs(r, out=r) <= t).all():
+        c = t * t
+        np.subtract(s, c, out=c)
+        c -= t  # t = isqrt(s) iff 0 <= s - t^2 <= 2t
+        if not (np.abs(c, out=c) <= t).all():
             raise BudgetError("float64 square root failed its certificate")
-        vals = tables.prefix[t.astype(np.int64)]
-        hi += int((vals >> 32).sum())
-        lo += int((vals & 0xFFFFFFFF).sum())
-    return 2 * (hi * 2**32 + lo) - int(tables.prefix[wmax])
-
+        k = t.astype(np.int64)
+        ak = prefix[k]
+        r = np.diff(prefix[start - 1 : stop])
+        k += 1
+        t += 1
+        wrapped += int(ak.view(np.uint64).sum()) + int(np.dot(r.view(np.uint64), k.view(np.uint64)))
+        approx += float(ak.sum(dtype=np.float64)) + float(np.dot(r.astype(np.float64), t))
+    if (2 * (wmax - a) + 2) * 2.0**-53 * approx >= _SUM_BOUND_CAP:
+        raise BudgetError("float64 strip sum too inexact to fix the count")
+    near = int(approx)
+    strips = near + (wrapped - near + 2**63) % 2**64 - 2**63
+    return 2 * ((a + 1) * int(prefix[a]) + strips) - int(prefix[wmax])

@@ -76,19 +76,65 @@ def test_normalized_error_definition(tables_q3_small):
 
 
 def test_count_fast_matches_scalar(tables_q3_small):
-    # integer x^4 (P0 - w^2 runs through perfect squares), floor(x^4) with
-    # den > 1, and num^4 >= 2^62 with x^4 small
-    for num, den in [(1, 1), (3, 2), (5, 4), (13, 10), (6, 1), (25, 1), (301, 7), (1201, 61), (46349, 7919)]:
+    # x = 0 and x < 1 (P0 = 0), integer x^4 (P0 - w^2 runs through perfect
+    # squares), floor(x^4) with den > 1, and num^4 >= 2^62 with x^4 small
+    for num, den in [(0, 1), (0, 7), (1, 2), (99, 100), (1, 1), (3, 2), (5, 4), (13, 10), (6, 1), (25, 1),
+                     (301, 7), (1201, 61), (46349, 7919)]:
         fast = count_points_fast(3, tables_q3_small, num, den)
         slow = count_points(3, tables_q3_small, x=Fraction(num, den))
         assert fast == slow
 
 
-@pytest.mark.parametrize("num, den", [(300, 1), (18301, 61)])
+@pytest.mark.parametrize("num, den", [(480, 1), (29281, 61)])
 def test_count_fast_matches_scalar_multi_block(num, den):
-    # x^2 > 2^16, so the folded w-range spans more than one block
-    tables = build_r2q_prefix(3, 301**2)
+    # x >= 474, so the W - a roots past the diagonal span more than one 2^16 block
+    tables = build_r2q_prefix(3, 481**2)
+    p0 = num**4 // den**4
+    assert math.isqrt(p0) - math.isqrt(p0 // 2) > 2**16
     assert count_points_fast(3, tables, num, den) == count_points(3, tables, x=Fraction(num, den))
+
+
+def _num_with_floor_x4(p0, den):
+    """Smallest num with floor((num/den)^4) = p0, for den large enough."""
+    num = math.isqrt(math.isqrt(p0 * den**4))
+    if num**4 < p0 * den**4:
+        num += 1
+    assert num**4 // den**4 == p0
+    return num
+
+
+@pytest.mark.parametrize(
+    "p0",
+    [2 * a * a + d for a in (1, 5, 100, 1000) for d in (-1, 0, 1)] + [4, 10000, 1999**2, 2000**2],
+)
+def test_count_fast_diagonal_edges(tables_q3_small, p0):
+    # P0 = 2a^2 puts (a, a) on the circle; a perfect square puts (0, W) on it
+    den = 10**6
+    num = _num_with_floor_x4(p0, den)
+    assert count_points_fast(3, tables_q3_small, num, den) == count_points(3, tables_q3_small, x=Fraction(num, den))
+
+
+def test_count_fast_exact_past_int64_q4():
+    # near the q = 4 table reach the strip s > a sums past 2^63
+    tables = build_r2q_prefix(4, 32648)
+    num, den = 180 * 4001 - 3, 4001
+    assert count_points_fast(4, tables, num, den) == count_points(4, tables, x=Fraction(num, den))
+
+
+def test_count_fast_rejects_tables_of_another_q(tables_q4_small):
+    with pytest.raises(ValueError, match="different q"):
+        count_points_fast(3, tables_q4_small, 5, 1)
+
+
+def test_count_fast_sum_bound_falls_back(tables_q3_small, monkeypatch):
+    # a strip sum whose float64 bound reaches the cap is declined, not guessed
+    want = sample_errors(3, tables_q3_small, 2, 20)
+    monkeypatch.setattr("heislat.lattice._SUM_BOUND_CAP", 0.0)
+    with pytest.raises(BudgetError, match="inexact"):
+        count_points_fast(3, tables_q3_small, 20, 1)
+    got = sample_errors(3, tables_q3_small, 2, 20)
+    for field in ("x", "err", "num"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_count_fast_budgets(tables_q3_small):

@@ -80,9 +80,13 @@ def test_phi_periodic(m, t, q):
     assert math.isclose(a, b, rel_tol=1e-7, abs_tol=1e-7)
 
 
-@given(x=st.integers(1, 60).flatmap(lambda den: st.tuples(st.integers(0, 44 * den), st.just(den))))
+@given(
+    q=st.sampled_from([3, 4]),
+    x=st.integers(1, 60).flatmap(lambda den: st.tuples(st.integers(0, 44 * den), st.just(den))),
+)
 @settings(max_examples=200, deadline=None)
-def test_count_fast_matches_count_points(tables_q3_small, x):
+def test_count_fast_matches_count_points(tables_q3_small, tables_q4_small, q, x):
     # x = num/den <= 44, inside the tables' radius^2 2000
+    tables = {3: tables_q3_small, 4: tables_q4_small}[q]
     num, den = x
-    assert count_points_fast(3, tables_q3_small, num, den) == count_points(3, tables_q3_small, x=Fraction(num, den))
+    assert count_points_fast(q, tables, num, den) == count_points(q, tables, x=Fraction(num, den))
