@@ -41,19 +41,28 @@ def _points_per_unit(k_max: int, refine: int) -> int:
     return 1 << ((4 * k_max - 1).bit_length() + refine)
 
 
+@lru_cache(maxsize=None)
+def _strip_bound(q: int, m: int, d_mod: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heights y, with 2 pi n y <= 700 at level 0, and S(y) = sum |a| sinh(2 pi f y) over phi_m's spectrum."""
+    num, den, a = build_phi(q, m, d_mod, k_max).spectrum()
+    y = np.geomspace(1e-4, 1.0, 128) * 700 / (2 * math.pi * _points_per_unit(k_max, 0))
+    s = np.sinh(2 * math.pi * np.outer(y, num / den)) @ np.abs(a)
+    for arr in (y, s):
+        arr.setflags(write=False)
+    return y, s
+
+
 def _quadrature_level(q: int, m: int, d_mod: int, k_max: int, u_max: float):
     """Coarsest refine level whose period grid averages e^{i u phi_m} within
     QUAD_TOL for all |u| <= u_max, and that error bound.
 
-    |Im phi_m(x + iy)| <= S(y) = sum |a| sinh(2 pi f y) over the spectrum, so
-    the periodic trapezoid rule with n points per unit t errs by at most
-    2 e^{u S(y)} / (e^{2 pi n y} - 1) (Trefethen & Weideman, SIAM Rev. 2014),
-    minimized in log space over y with 2 pi n y <= 700 at level 0: n >= 4 f
-    keeps 2 pi f y <= 175, so S stays finite.
+    |Im phi_m(x + iy)| <= S(y) (_strip_bound), so the periodic trapezoid rule
+    with n points per unit t errs by at most 2 e^{u S(y)} / (e^{2 pi n y} - 1)
+    (Trefethen & Weideman, SIAM Rev. 2014), minimized in log space over y with
+    2 pi n y <= 700 at level 0: n >= 4 f keeps 2 pi f y <= 175, so S stays
+    finite.
     """
-    num, den, a = build_phi(q, m, d_mod, k_max).spectrum()
-    y = np.geomspace(1e-4, 1.0, 128) * 700 / (2 * math.pi * _points_per_unit(k_max, 0))
-    s = np.sinh(2 * math.pi * np.outer(y, num / den)) @ np.abs(a)
+    y, s = _strip_bound(q, m, d_mod, k_max)
     for refine in range(7):
         ny = 2 * math.pi * _points_per_unit(k_max, refine) * y
         log_err = float(np.min(math.log(2) + u_max * s - ny - np.log(-np.expm1(-ny))))

@@ -4,11 +4,11 @@ Q(m, l) denotes the mean of phi_m^l over long intervals.  Three routes are
 implemented: the analytic moment formula (the _frak_items spectrum of frak_r
 coefficients) and the ergodic mean of the truncated component (its merged
 spectrum), which both take the zero bin of an l-fold convolution of one
-(num, den, amp) spectrum format (_power_mean), and a closed-form double
-series for l = 2.  All three estimate their error by one rule (_moment)
-against a coarser box.  The moments of the limiting density follow from the
-Q(m, l) by one cumulant ledger: the components are independent, so their
-cumulants add.
+(num, den, amp) spectrum format (_power_mean, numpy steps on exact int64
+frequency keys mod 2^61 - 1), and a closed-form double series for l = 2.
+All three estimate their error by one rule (_moment) against a coarser box.
+The moments of the limiting density follow from the Q(m, l) by one cumulant
+ledger: the components are independent, so their cumulants add.
 """
 
 from __future__ import annotations
@@ -77,36 +77,74 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.
 
 
 _BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
+_KEY_PRIME = 2**61 - 1  # frequency keys are residues mod this Mersenne prime
+# products per block of one convolution step: a block's keys, products and
+# lookups take about 100 bytes a product, so under 1 MB whatever the step
+_PRODUCT_BLOCK = 2**13
+
+
+def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of vals on each."""
+    keys, inv = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inv, vals.real, len(keys)) + 1j * np.bincount(inv, vals.imag, len(keys))
+
+
+def _negated(keys: np.ndarray) -> np.ndarray:
+    """The keys of the negated frequencies."""
+    return (_KEY_PRIME - keys) % _KEY_PRIME
+
+
+def _outer_blocks(keys_a, vals_a, keys_b, vals_b):
+    """The keys (a + b mod _KEY_PRIME) and products of every pair, in blocks of about _PRODUCT_BLOCK pairs."""
+    rows = max(1, _PRODUCT_BLOCK // len(keys_b))
+    for lo in range(0, len(keys_a), rows):
+        keys = np.add.outer(keys_a[lo : lo + rows], keys_b).ravel()
+        np.subtract(keys, _KEY_PRIME, out=keys, where=keys >= _KEY_PRIME)
+        yield keys, np.multiply.outer(vals_a[lo : lo + rows], vals_b).ravel()
 
 
 def _power_mean(num: np.ndarray, den: np.ndarray, amp: np.ndarray, ell: int) -> complex:
     """Zero bin of the ell-fold convolution, ell >= 2, of the spectrum {num/den: amp, -num/den: conj amp}.
 
-    Frequencies are exact integers in units of 1/lcm(den).  With half =
-    spec^{*floor(l/2)} by dict convolution, the zero bin is
-    sum_f half[f] half[-f] for even l, sum_{f,g} half[f] spec[g] half[-f-g]
-    for odd l.  _BUDGET bounds the products of one convolution step,
-    len(half) * len(spec); BudgetError is raised before a step exceeds it.
+    A frequency n/d has the exact key n d^-1 mod p, p = _KEY_PRIME prime, and
+    keys add mod p.  A sum of ell frequencies with |n| <= n_max and d <= R is
+    N/L with L = lcm of its denominators <= R^ell and |N| <= ell n_max L; its
+    key is N L^-1 mod p, zero exactly when N is, if ell n_max R^ell < p.  The
+    same bound makes distinct sums of at most ell/2 frequencies distinct keys;
+    where it fails, BudgetError.  With half = spec^{*floor(l/2)}, each step an
+    outer key sum merged by np.unique and np.bincount, the zero bin is
+    sum_f half[f] half[-f] for even l (2 sum |amp|^2 at l = 2, the
+    frequencies being distinct and nonzero) and
+    sum_{f,g} half[f] spec[g] half[-f-g] for odd l, -f and -f-g looked up by
+    np.searchsorted.  _BUDGET bounds the products of one step,
+    len(half) * len(spec), and BudgetError is raised before a step exceeds
+    it; a step runs in blocks of _PRODUCT_BLOCK products.
     """
-    f = num * (math.lcm(1, *den.tolist()) // den.astype(object))
-    spec = dict(zip(np.stack([f, -f], 1).ravel().tolist(), np.stack([amp, amp.conj()], 1).ravel().tolist()))
+    if ell * int(np.max(np.abs(num), initial=0)) * int(np.max(den, initial=1)) ** ell >= _KEY_PRIME:
+        raise BudgetError(f"frequency keys mod 2^61 - 1 cannot certify a zero sum of {ell} terms in this box")
+    inverse = {d: pow(d, -1, _KEY_PRIME) for d in set(den.tolist())}
+    key = np.array([n * inverse[d] % _KEY_PRIME for n, d in zip(num.tolist(), den.tolist())], np.int64)
+    spec = _merge(np.concatenate([key, _negated(key)]), np.concatenate([amp, amp.conj()]))
 
     def check_budget(n_half: int) -> None:
-        if n_half * len(spec) > _BUDGET:
-            raise BudgetError(f"{n_half} x {len(spec)} products exceed the convolution budget {_BUDGET}")
+        if n_half * len(spec[0]) > _BUDGET:
+            raise BudgetError(f"{n_half} x {len(spec[0])} products exceed the convolution budget {_BUDGET}")
+
+    def half_at(keys: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(half[0], keys), len(half[0]) - 1)
+        return np.where(half[0][i] == keys, half[1][i], 0)
 
     half = spec
     for _ in range(ell // 2 - 1):
-        check_budget(len(half))
-        nxt: dict[int, complex] = {}
-        for f, a in half.items():
-            for g, b in spec.items():
-                nxt[f + g] = nxt.get(f + g, 0) + a * b
-        half = nxt
+        check_budget(len(half[0]))
+        blocks = [_merge(*block) for block in _outer_blocks(*half, *spec)]
+        half = _merge(*(np.concatenate(part) for part in zip(*blocks)))
     if ell % 2 == 0:
-        return sum(a * half.get(-f, 0) for f, a in half.items())
-    check_budget(len(half))
-    return sum(a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items())
+        return complex(np.sum(half[1] * half_at(_negated(half[0]))))
+    check_budget(len(half[0]))
+    # keys of -f-g, with the products half[f] spec[g]
+    blocks = _outer_blocks(_negated(half[0]), half[1], _negated(spec[0]), spec[1])
+    return complex(sum(np.sum(vals * half_at(keys)) for keys, vals in blocks))
 
 
 def _halved(d_max: int, k_max: int) -> tuple[int, int]:

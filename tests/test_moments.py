@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from heislat import moments
 from heislat.arithmetic import BudgetError, eps_sign
 from heislat.distribution import tail_variance_estimate
 from heislat.moments import (
+    _frak_items,
     _frak_table,
     _moment_prefactor,
+    _power_mean,
     density_moment,
     q2_closed,
     q_analytic,
@@ -221,6 +224,64 @@ def test_analytic_budget_raises(monkeypatch):
     monkeypatch.setattr(moments, "_BUDGET", 1000)
     with pytest.raises(BudgetError):
         q_analytic(3, 1, 4, d_max=8, k_max=8)
+
+
+def _dict_power_mean(num, den, amp, ell):
+    """The zero bin by dict convolution, with Python-int frequencies in units of 1/lcm(den)."""
+    f = num * (math.lcm(1, *den.tolist()) // den.astype(object))
+    spec = dict(zip(np.stack([f, -f], 1).ravel().tolist(), np.stack([amp, amp.conj()], 1).ravel().tolist()))
+    half = spec
+    for _ in range(ell // 2 - 1):
+        nxt = {}
+        for f, a in half.items():
+            for g, b in spec.items():
+                nxt[f + g] = nxt.get(f + g, 0) + a * b
+        half = nxt
+    if ell % 2 == 0:
+        return sum(a * half.get(-f, 0) for f, a in half.items())
+    return sum(a * b * half.get(-f - g, 0) for f, a in half.items() for g, b in spec.items())
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+@pytest.mark.parametrize(
+    "route, box",
+    [(q_analytic, (8, 8)), (q_analytic, (44, 4)), (q_analytic, (48, 4)), (q_ergodic, (8, 16)), (q_ergodic, (44, 8))],
+    ids=["analytic-8-8", "analytic-44-4", "analytic-48-4", "ergodic-8-16", "ergodic-44-8"],
+)
+@pytest.mark.parametrize("q, m", [(3, 1), (4, 1), (4, 5)])
+def test_power_mean_matches_dict_convolution(monkeypatch, route, box, ell, q, m):
+    # for m = 1 the lcm of the denominators passes 2^63 at d_max >= 44, where
+    # the dict needs Python ints and the keys mod 2^61 - 1 stay int64
+    if m == 1 and box[0] >= 44:
+        spec = _frak_items(q, m, *box) if route is q_analytic else build_phi(q, m, *box).spectrum()
+        assert math.lcm(*spec[1].tolist()) > 2**63
+    got = route(q, m, ell, *box)
+    monkeypatch.setattr(moments, "_power_mean", _dict_power_mean)
+    want = route(q, m, ell, *box)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.error == pytest.approx(want.error, rel=1e-12, abs=1e-12 * abs(want.value))
+
+
+def test_power_mean_key_bound_raises():
+    # with denominators near 2^20 the key bound l n_max R^l is 2^41 at l = 2
+    # and 3 * 2^60 > 2^61 - 1 at l = 3
+    spec = np.array([1, 1]), np.array([2**20 - 3, 2**20 - 1]), np.array([1.0, 1.0j])
+    assert _power_mean(*spec, 2) == pytest.approx(4.0)
+    with pytest.raises(BudgetError, match="keys"):
+        _power_mean(*spec, 3)
+
+
+def test_power_mean_memory_is_blocked():
+    # q_analytic(3, 1, 3, 40, 40) sums 2.66M products in blocks of
+    # _PRODUCT_BLOCK, about 100 bytes a product of one block (0.73 MB measured)
+    for box in (40, 20):
+        _frak_items(3, 1, box, box)
+    tracemalloc.start()
+    q_analytic(3, 1, 3, 40, 40)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (2 * len(_frak_items(3, 1, 40, 40)[0])) ** 2 > 2_600_000
+    assert peak <= 2**20
 
 
 def test_density_moment_two_components_explicit():

@@ -72,26 +72,44 @@ def test_spectrum_merges_term_list(q, m, d_max, k_max, n_t):
     assert np.max(np.abs(trunc(t) - raw)) <= 1e-12 + _phase_err(trunc, t[-1])
 
 
-def _exact_phase_sum(trunc, t_num: int, t_shift: int) -> float:
-    """phi at t = t_num / 2^t_shift in mpmath, each phase num t / den reduced mod 1 exactly."""
-    scale = 2**t_shift
+def _exact_phase_sum(trunc, t: float) -> float:
+    """phi at the float t = p / s in mpmath, each phase num t / den reduced mod 1 exactly."""
+    p, s = t.as_integer_ratio()
     total = mpmath.mpf(0)
     with mpmath.workdps(30):
         for n, d, a in zip(*(arr.tolist() for arr in trunc.spectrum())):
-            theta = 2 * mpmath.pi * mpmath.mpf(n * t_num % (d * scale)) / (d * scale)
+            theta = 2 * mpmath.pi * mpmath.mpf(n * p % (d * s)) / (d * s)
             total += a.real * mpmath.cos(theta) - a.imag * mpmath.sin(theta)
     return float(total)
+
+
+def _edge_points(trunc, rng) -> list[float]:
+    """Exact multiples of every denominator D and t near 2^40, each with both float neighbours.
+
+    The denominators go into groups of lcm L <= 2^40, and t = j L is a
+    multiple of every D of its group.
+    """
+    groups = [1]
+    for D in sorted(set(trunc.spectrum()[1].tolist())):
+        if math.lcm(groups[-1], D) > 2**40:
+            groups.append(1)
+        groups[-1] = math.lcm(groups[-1], D)
+    t = [float(int(rng.integers(1, 2**40 // L + 1)) * L) for L in groups]
+    t += [2.0**40, 2.0**40 + 2.0**-12 * int(rng.integers(1, 2**20))]
+    return [u for x in t for u in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
 
 
 @pytest.mark.parametrize("m", [1, 2, 13])
 def test_call_accuracy_at_large_t(m):
     # dyadic t in [1e5, 1e6]: a phase 2 pi (num/den) t rounded in float64 is off
-    # by up to 3e-8 rad, which summed over the terms errs by several 1e-9
+    # by up to 3e-8 rad, which summed over the terms errs by several 1e-9.
+    # At t = j D the reduction t mod D is 0, just below D or just above 0
+    rng = np.random.default_rng(m)
+    t = (rng.integers(10**5 << 10, 10**6 << 10, 12) / 2**10).tolist()
     trunc = build_phi(3, m, 64, 64)
-    shift = 10
-    t_num = np.random.default_rng(m).integers(10**5 << shift, 10**6 << shift, 12).tolist()
-    want = np.array([_exact_phase_sum(trunc, k, shift) for k in t_num])
-    got = trunc(np.array(t_num, dtype=np.float64) / 2**shift)
+    t += _edge_points(trunc, rng)
+    want = np.array([_exact_phase_sum(trunc, x) for x in t])
+    got = trunc(np.array(t))
     assert np.max(np.abs(got - want)) <= 1e-11 * (1 + np.max(np.abs(want)))
 
 
