@@ -140,7 +140,7 @@ def _phi_sum(args):
 def _moments(args):
     # --D is the modulus of the ergodic route and the depth of the other two
     d_name = "d_mod" if args.method == "ergodic" else "d_max"
-    kwargs = {k: v for k, v in ((d_name, args.D), ("k_max", args.K)) if v}
+    kwargs = {k: v for k, v in ((d_name, args.D), ("k_max", args.K)) if v is not None}
     if args.method == "analytic":
         mv = q_analytic(args.q, args.m, args.l, **kwargs)
     elif args.method == "ergodic":

@@ -24,7 +24,9 @@ DEFAULT_K_MAX = 64
 N_BINS = 8192
 QUAD_TOL = 1e-9
 # _phi_bins' cap on one block, in bytes: binning keeps about six float64/int64
-# arrays of the block's size live at once, so 2^29 bytes is about 1.1e7 points
+# arrays of the block's size live at once, so 2^29 bytes is about 1.1e7 points.
+# The grid build (two bincounts, the half spectrum, the output and the FFT scratch)
+# stays below those six, so this one constant is the only memory rule for period grids.
 BLOCK_BYTES = 2**29
 
 

@@ -105,8 +105,10 @@ def count_points_bruteforce(q: int, x=None, x2=None, x4=None) -> int:
 
 
 def normalized_error(q: int, tables: ArithTables | None = None, x=None, x2=None, x4=None) -> float:
-    """(count - vol(B) x^(2q+2)) / x^(2q-1) for a single dilation."""
+    """(count - vol(B) x^(2q+2)) / x^(2q-1) for a single dilation x > 0; ValueError at x = 0."""
     x4f = _x4_from_args(x, x2, x4)
+    if x4f == 0:
+        raise ValueError("the normalized error needs x > 0")
     n = count_points(q, tables, x4=x4f)
     xf = float(x4f) ** 0.25
     main = volume_unit_ball(q) * xf ** (2 * q + 2)

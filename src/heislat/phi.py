@@ -8,8 +8,7 @@ exact rational frequencies k/d; its terms merge into one spectrum, which its
 evaluators and the ergodic moments read, and its period is the lcm of the
 spectrum's denominators, for every m > 1 far below lcm(1..d_max).  Off its
 period grid a component is a polynomial in e^{2 pi i t/den} for each
-denominator, which PhiTruncation.__call__ evaluates by Horner's rule;
-_trig_sum sums the S_{q,H} rows, whose frequencies sqrt(m)/d share no base.
+denominator, which PhiTruncation.__call__ evaluates by Horner's rule.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from .arithmetic import (
     rho_q,
 )
 
-# term x point elements per block of _trig_sum: each element is one float64 of
-# working memory, so a block holds 128 KB whatever the number of terms.
-_TRIG_BLOCK = 2**14
 # points per block of PhiTruncation.__call__, about 40 bytes of working memory
 # each (t mod den, z and the Horner accumulator).  On partial_sum_phi at 4000
 # points, 2^10 points per block ran 1.5x slower and 2^14 no faster.
@@ -45,29 +41,6 @@ def _amplitudes(coef, is_cos) -> np.ndarray:
     The one place the phase convention of phi_m and S_{q,H} is written down.
     """
     return coef * (np.exp(-1j * math.pi / 4) * np.where(is_cos, 1, -1j))
-
-
-def _trig_sum(freq: np.ndarray, amp: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Re sum_j amp_j e^{2 pi i freq_j t} at each point of the 1-D array t.
-
-    The direct evaluator of S_{q,H} rows, whose frequencies sqrt(m)/d share
-    no common base.  Evaluated as |amp| cos(2 pi freq t + arg amp) over
-    blocks of at most _TRIG_BLOCK term x point elements, so the working
-    memory beyond the output stays O(_TRIG_BLOCK) whatever the number of
-    terms.  It rounds each phase 2 pi freq t in float64, an error of about
-    eps |2 pi freq t| per term.
-    """
-    w = 2 * math.pi * freq
-    r, ph = np.abs(amp), np.angle(amp)
-    out = np.zeros(len(t))
-    n_pts = max(1, min(len(t), _TRIG_BLOCK))
-    n_terms = _TRIG_BLOCK // n_pts
-    for lo in range(0, len(t), n_pts):
-        for k in range(0, len(w), n_terms):
-            arg = np.multiply.outer(w[k : k + n_terms], t[lo : lo + n_pts])
-            arg += ph[k : k + n_terms, None]
-            out[lo : lo + n_pts] += r[k : k + n_terms] @ np.cos(arg, out=arg)
-    return out
 
 
 def component_vanishes(m: int) -> bool:
@@ -171,28 +144,22 @@ class PhiTruncation:
 
         P = lcm(1, *den[part]) is the part's own period (self.period for the
         whole spectrum) and n_points must be a multiple of it; frequency
-        num/den then sits on the integer bin f = num * P / den, and the grid
-        is the real part of an inverse DFT of length n_points, exact for
-        aliased bins too.  It runs as r inverse FFTs of length M = n_points / r,
-        so the working memory stays O(M): samples j = c (mod r) see bin f at
-        f mod M with the phase exp(2 pi i f c / n_points).
+        num/den then sits on the integer bin f = num * P / den mod n_points,
+        exact for aliased bins too, and the grid is one real inverse FFT.
+        Re(a e^{2 pi i f j/n}) = Re(conj(a) e^{2 pi i (n - f) j/n}) folds a
+        bin above n/2 onto n - f; irfft doubles every bin but 0 and n/2, so
+        those two weigh n and the rest n/2.
         """
         num, den, z = (arr[part] for arr in self.spectrum())
         P = math.lcm(1, *den.tolist())
         if n_points % P:
             raise ValueError("n_points must be a multiple of the period")
-        r = 1
-        while n_points % (2 * r) == 0 and n_points // (2 * r) >= 2**15:
-            r *= 2
-        M = n_points // r
         f = num * (P // den) % n_points
-        bins = f % M
-        out = np.empty(n_points)
-        for c in range(r):
-            zc = z * np.exp(2j * math.pi * (f * c % n_points) / n_points)
-            spec = np.bincount(bins, zc.real, M) + 1j * np.bincount(bins, zc.imag, M)
-            out[c::r] = (M * np.fft.ifft(spec)).real
-        return out
+        fold = f > n_points // 2
+        f = np.where(fold, n_points - f, f)
+        z = np.where(fold, z.conj(), z) * np.where((f == 0) | (2 * f == n_points), n_points, n_points / 2)
+        spec = np.bincount(f, z.real, n_points // 2 + 1) + 1j * np.bincount(f, z.imag, n_points // 2 + 1)
+        return np.fft.irfft(spec, n_points)
 
 
 @lru_cache(maxsize=None)

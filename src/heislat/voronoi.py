@@ -16,7 +16,7 @@ import numpy as np
 
 from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, rho_chi_q, rho_q
 from .empirical import ErrorSample, sample_errors
-from .phi import _amplitudes, _trig_sum
+from .phi import _amplitudes
 
 
 def tau(t):
@@ -32,6 +32,34 @@ def tau(t):
     ti = arr[inner]
     out[inner] = ti * (1 - ti) / np.tan(math.pi * ti) + ti / math.pi
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+# term x point elements per block of _trig_sum: each element is one float64 of
+# working memory, so a block holds 128 KB whatever the number of terms.
+_TRIG_BLOCK = 2**14
+
+
+def _trig_sum(freq: np.ndarray, amp: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Re sum_j amp_j e^{2 pi i freq_j t} at each point of the 1-D array t.
+
+    The direct evaluator of S_{q,H} rows, whose frequencies sqrt(m)/d share
+    no common base.  Evaluated as |amp| cos(2 pi freq t + arg amp) over
+    blocks of at most _TRIG_BLOCK term x point elements, so the working
+    memory beyond the output stays O(_TRIG_BLOCK) whatever the number of
+    terms.  It rounds each phase 2 pi freq t in float64, an error of about
+    eps |2 pi freq t| per term.
+    """
+    w = 2 * math.pi * freq
+    r, ph = np.abs(amp), np.angle(amp)
+    out = np.zeros(len(t))
+    n_pts = max(1, min(len(t), _TRIG_BLOCK))
+    n_terms = _TRIG_BLOCK // n_pts
+    for lo in range(0, len(t), n_pts):
+        for k in range(0, len(w), n_terms):
+            arg = np.multiply.outer(w[k : k + n_terms], t[lo : lo + n_pts])
+            arg += ph[k : k + n_terms, None]
+            out[lo : lo + n_pts] += r[k : k + n_terms] @ np.cos(arg, out=arg)
+    return out
 
 
 @dataclass

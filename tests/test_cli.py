@@ -57,6 +57,13 @@ def test_error_command(capsys):
     assert "normalized_error" in payload and "volume" in payload
 
 
+def test_error_at_zero_exit_2(capsys):
+    # the count at x = 0 is 1, but dividing by x^(2q-1) is not defined
+    assert run(["error", "--q", "3", "--x", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("argument error:")
+
+
 def test_moments_first_vanishes(capsys):
     assert run(["moments", "--q", "3", "--m", "1", "--l", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -81,6 +88,14 @@ def test_moments_box_without_coarse_box_exit_2(capsys):
     assert run(["moments", "--q", "3", "--m", "1", "--l", "2", "--method", "closed2", "--D", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "box (3, 40)" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--D", "--K"])
+def test_moments_zero_box_exit_2(flag, capsys):
+    # a given 0 reaches the route, which has no coarser box to compare with
+    assert run(["moments", "--q", "3", "--m", "1", "--l", "2", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("argument error:")
 
 
 def test_moments_routes_agree(capsys):

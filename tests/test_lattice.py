@@ -75,6 +75,13 @@ def test_normalized_error_definition(tables_q3_small):
     assert normalized_error(3, tables_q3_small, x=x) == pytest.approx(expect, rel=1e-12)
 
 
+def test_normalized_error_rejects_zero_dilation(tables_q3_small):
+    # the origin alone is counted, but x^(2q-1) = 0 has nothing to divide by
+    assert count_points(3, tables_q3_small, x=0) == 1
+    with pytest.raises(ValueError):
+        normalized_error(3, tables_q3_small, x=0)
+
+
 def test_count_fast_matches_scalar(tables_q3_small):
     # x = 0 and x < 1 (P0 = 0), integer x^4 (P0 - w^2 runs through perfect
     # squares), floor(x^4) with den > 1, and num^4 >= 2^62 with x^4 small

@@ -169,12 +169,16 @@ def test_period_is_own(q, m, d_max, k_max, period):
 def test_grid_values_match_pointwise():
     # (q, m, d_max, k_max, points per period, stride of the checked points):
     # at 8 points per period with k_max = 8 the bins k * period / d pass
-    # n / 2 and alias; 840 * 256 points split into several FFT blocks
+    # n / 2 and alias, k/d = 4 onto bin n / 2 and k/d = 8 onto bin 0; 15 and
+    # 21 points are odd lengths, with no bin n / 2 and bins past n / 2 folded;
+    # the 840 * 256 points of the last grid are checked at every 97th
     for q, m, d_max, k_max, per, stride in [
         (3, 1, 4, 8, 16, 1),
         (4, 2, 4, 8, 16, 1),
         (3, 5, 4, 8, 16, 1),
         (3, 1, 4, 8, 8, 1),
+        (3, 1, 3, 8, 5, 1),
+        (3, 2, 7, 8, 3, 1),
         (3, 1, 8, 64, 256, 97),
     ]:
         trunc = build_phi(q, m, d_max, k_max)
@@ -184,6 +188,37 @@ def test_grid_values_match_pointwise():
         # the pointwise reference rounds each phase 2 pi (k/d) t in float64
         bound = 1e-12 + _phase_err(trunc, trunc.period)
         assert np.max(np.abs(grid[j] - trunc(j * (trunc.period / n)))) <= bound
+
+
+def test_part_grids_match_pointwise():
+    # phi_1 at d_max 16 splits into the lone primes 11 and 13 (period 143) and
+    # the coupled rest (period 5040, 645120 points at 128 per unit t); by the
+    # Chinese remainder theorem phi(i / n) is the sum of their rows i mod P n
+    trunc = build_phi(3, 1, 16, 32)
+    n = 128
+    lone = np.isin(trunc.spectrum()[1], [11, 13])
+    grids = [trunc.grid_values(P * n, part) for P, part in ((5040, ~lone), (143, lone))]
+    assert len(grids[0]) >= 2**16
+    i = np.arange(0, trunc.period * n, 46337)
+    got = grids[0][i % len(grids[0])] + grids[1][i % len(grids[1])]
+    bound = 1e-12 + _phase_err(trunc, trunc.period)
+    assert np.max(np.abs(got - trunc(i / n))) <= bound
+
+
+def test_grid_values_memory():
+    # the grid build stays below the six block-sized arrays that
+    # distribution.BLOCK_BYTES allows _phi_bins per block
+    trunc = build_phi(3, 1, 8, 64)
+    n = trunc.period * 1024
+    assert n >= 2**19
+    trunc.spectrum()  # cached, so only the grid build is traced
+    tracemalloc.start()
+    try:
+        trunc.grid_values(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n
 
 
 def test_grid_values_requires_multiple_of_period():

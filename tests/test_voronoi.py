@@ -10,12 +10,13 @@ import pytest
 from heislat import voronoi
 from heislat.arithmetic import _branch, _rep_weight, build_r2q_prefix, chi4, rho_chi_q, rho_q, two_square_reps
 from heislat.empirical import sample_errors
-from heislat.phi import _amplitudes, _trig_sum
+from heislat.phi import _amplitudes
 from heislat.voronoi import (
     _CHIRP_BLOCK,
     _S_windows,
     _T_rows,
     _chirp_sum,
+    _trig_sum,
     build_S_terms,
     eval_S_streaming,
     gap_report,
