@@ -21,7 +21,7 @@ from .arithmetic import BudgetError, shell_tables
 from .distribution import cdf_and_moments, density
 from .empirical import component_sum_l2_gap, sample_errors
 from .lattice import _x4_from_args, count_points, normalized_error, volume_unit_ball
-from .moments import density_moment, q2_closed, q_analytic, q_ergodic
+from .moments import density_moment, q2_closed, q_analytic, q_ergodic, variance_series
 from .phi import build_phi, partial_sum_phi
 from .voronoi import gap_report
 
@@ -167,10 +167,12 @@ def _density_moment(args):
 def _density(args):
     grid = density(args.q, m_max=args.M, A=args.A, step=args.step, x_min=args.xmin, x_max=args.xmax)
     report = cdf_and_moments(grid)
+    variance = variance_series(args.q)  # the closure's target, cached by density
     if args.out:
         _emit_csv(["x", "P"], zip(grid.x, grid.p), args.out)
     _emit({"M": grid.m_max, "d_mod": grid.d_mod, "k_max": grid.k_max, "A": grid.cutoff,
            "sigma_step": grid.step, "x_step": grid.x_step, "tail_variance": grid.tail_variance,
+           "variance": {"value": variance.value, "error": variance.error, **variance.meta},
            "error_budget": grid.error_budget, "moments": report["moments"],
            "abs_moments": report["abs_moments"]}, None)
 

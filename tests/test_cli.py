@@ -9,6 +9,7 @@ import pytest
 from heislat import empirical
 from heislat.arithmetic import CACHE_MAGIC, build_r2q_prefix, load_tables
 from heislat.cli import run
+from heislat.moments import variance_series
 
 
 def test_count_basic(capsys):
@@ -92,10 +93,13 @@ def test_moments_box_without_coarse_box_exit_2(capsys):
 
 @pytest.mark.parametrize("flag", ["--D", "--K"])
 def test_moments_zero_box_exit_2(flag, capsys):
-    # a given 0 reaches the route, which has no coarser box to compare with
-    assert run(["moments", "--q", "3", "--m", "1", "--l", "2", flag, "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("argument error:")
+    # a given 0 reaches the route, which has no coarser box to compare with;
+    # every route checks its box before it builds any table
+    for method in ("analytic", "ergodic", "closed2"):
+        assert run(["moments", "--q", "3", "--m", "1", "--l", "2", "--method", method, flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("argument error: box (")
+        assert "for its error estimate" in captured.err
 
 
 def test_moments_routes_agree(capsys):
@@ -129,6 +133,10 @@ def test_density_json_names_its_box(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload)[:5] == ["schema", "M", "d_mod", "k_max", "A"]
     assert (payload["M"], payload["d_mod"], payload["k_max"]) == (20, 8, 64)
+    # the variance the Gaussian closure restores, next to the tail variance
+    assert list(payload).index("variance") == list(payload).index("tail_variance") + 1
+    mv = variance_series(3)
+    assert payload["variance"] == {"value": mv.value, "error": mv.error, "n_limit": 200_000, "d_max": 15}
 
 
 def test_voronoi_gap_json_provenance(capsys):

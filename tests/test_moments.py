@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heislat import moments
-from heislat.arithmetic import BudgetError, eps_sign
+from heislat.arithmetic import BudgetError, chi4, eps_sign, two_square_reps, zeta_value
 from heislat.distribution import tail_variance_estimate
 from heislat.moments import (
     _frak_items,
@@ -158,6 +158,78 @@ def test_variance_series_value():
     assert mv.error < mv.value * 0.1
     with pytest.raises(ValueError):
         variance_series(3, d_max=0)
+
+
+# variance_series(q) at the default box, as the dense per-n sieve before the pair sieve gave it
+VARIANCE_PINS = {
+    3: (53.87652287295204, 1.7571108750344173),
+    4: (36.705628314700206, 0.17316608754482218),
+    5: (18.002979554712805, 0.0780825252786232),
+    6: (6.294460813187998, 0.0256139707683989),
+}
+
+
+@pytest.mark.parametrize("q", sorted(VARIANCE_PINS))
+def test_variance_series_pinned(q):
+    mv = variance_series(q)
+    assert (mv.value, mv.error) == pytest.approx(VARIANCE_PINS[q], rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [2, 0])
+def test_variance_series_rejects_small_q_before_sieving(q, monkeypatch):
+    def sieve(*args):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(moments, "_variance_series", sieve)
+    with pytest.raises(ValueError, match="need q >= 3"):
+        variance_series(q)
+
+
+def _variance_oracle(q, d_max, n_limit):
+    """(value, error) of variance_series by a plain loop over two_square_reps(n)."""
+    reps = {n: two_square_reps(n) for n in range(1, n_limit + 1)}
+    s = 2 * q - 3
+    total = d_partial = 0.0
+    for d in range(1, d_max + 1):
+        # the branch factor written out: chi4(d) or 1 on odd d, 0 on d = 2 mod 4,
+        # (-1)^(q//2) 2^q on d = 0 mod 4, weighted by chi4(a) for odd q
+        factor = (chi4(d) if q % 2 else 1) if d % 2 else 0 if d % 4 else (-1) ** (q // 2) * 2**q
+        twisted = d % 4 == 0 and q % 2 == 1
+        if not factor:
+            continue
+        d_partial += factor**2 * d**-s
+        terms = {}
+        for n, pairs in reps.items():
+            if math.gcd(n, d) == 1:
+                r = sum((2 if a else 1) * (2 if b else 1) * (a * a / n) ** ((q - 1) / 2)
+                        * (chi4(a) if twisted else 1) for a, b in pairs if b % d == 0)
+                terms[n] = r * r * n**-1.5
+        total += factor**2 * sum(terms.values()) / d**s
+        if d == 1:
+            sub_first = sum(terms.values())
+            octave = sum(t for n, t in terms.items() if n >= n_limit // 2)
+    half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
+    z = zeta_value(s)
+    d_full = (1 - 2.0**-s) * z + 2 ** (2 * q) * 4.0**-s * z
+    error = half_pref * max(d_full - d_partial, 0.0) * sub_first + half_pref * octave / (math.sqrt(2) - 1)
+    return half_pref * total, error
+
+
+@pytest.fixture
+def small_variance_box(monkeypatch):
+    moments._variance_series.cache_clear()
+    monkeypatch.setattr(moments, "VARIANCE_N_LIMIT", 3000)
+    yield 3000
+    moments._variance_series.cache_clear()
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_variance_series_matches_plain_loop(q, small_variance_box):
+    # q = 3 has twisted d = 0 mod 4 and dead d = 2 mod 4; n_limit // 2 = 1500
+    # is not a sum of two squares, so the octave's first n is its own test
+    mv = variance_series(q, d_max=12)
+    assert mv.meta == {"n_limit": small_variance_box, "d_max": 12}
+    assert (mv.value, mv.error) == pytest.approx(_variance_oracle(q, 12, small_variance_box), rel=1e-12)
 
 
 def test_variance_series_dominates_partial_sums():
