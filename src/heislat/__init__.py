@@ -12,7 +12,6 @@ from .arithmetic import (
     chi4,
     l_chi4_value,
     load_tables,
-    mobius,
     r2,
     rep_weights,
     rho_chi_q,

@@ -2,8 +2,8 @@
 
 Everything downstream (counting, oscillating sums, moments) is driven by
 weighted counts of representations m = a^2 + b^2 with a congruence condition
-on b, plus small multiplicative helpers (Moebius function, the nontrivial
-character mod 4, Dirichlet series values).
+on b, plus small helpers (the nontrivial character mod 4, Dirichlet series
+values) and the shell-count tables with their cache files.
 """
 
 from __future__ import annotations
@@ -17,29 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-CACHE_MAGIC = b"HLPT1\n"
+CACHE_MAGIC = b"HLPT2\n"
 
 
 class BudgetError(RuntimeError):
     """A requested computation exceeds a size or overflow budget."""
-
-
-def mobius(n: int) -> int:
-    """Moebius function of a single positive integer."""
-    if n < 1:
-        raise ValueError("mobius is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
 
 
 def chi4(n: int) -> int:
@@ -52,27 +34,17 @@ def chi4(n: int) -> int:
     return 0
 
 
-def is_squarefree(n: int) -> bool:
-    return mobius(n) != 0
-
-
-def has_prime_factor_3_mod_4(n: int) -> bool:
-    """True when some prime p | n satisfies p = 3 mod 4."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            if p % 4 == 3:
-                return True
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    return n > 1 and n % 4 == 3
-
-
 def _chi4_array(v: np.ndarray) -> np.ndarray:
     """chi4 elementwise, as floats."""
     r = np.mod(v, 4)
     return np.where(r == 1, 1.0, np.where(r == 3, -1.0, 0.0))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached results are shared by every caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def two_square_reps(n: int) -> list[tuple[int, int]]:
@@ -412,19 +384,28 @@ def _fft_length(m: int) -> int:
     return best
 
 
+def _digest(header: bytes, body: bytes) -> bytes:
+    """blake2b of a cache file's header and entries.  hashlib loads OpenSSL, 3.4 MB resident, so only here."""
+    import hashlib
+
+    return hashlib.blake2b(header + body).digest()
+
+
 def save_tables(tables: ArithTables, path: str | Path) -> None:
-    """Cache prefix sums: magic, q, limit, then little-endian u64 entries.
+    """Cache prefix sums: magic, the header (q, limit), a blake2b digest of
+    header and entries, then the entries as little-endian u64.
 
     The file is written beside its destination and moved into place, so a
     reader sees either the old file or the complete new one.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    header = struct.pack("<qq", tables.q, tables.limit)
+    body = tables.prefix.astype("<u8").tobytes()
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<qq", tables.q, tables.limit))
-            fh.write(tables.prefix.astype("<u8").tobytes())
+            fh.write(CACHE_MAGIC + header + _digest(header, body))
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -432,17 +413,17 @@ def save_tables(tables: ArithTables, path: str | Path) -> None:
 
 
 def load_tables(path: str | Path) -> ArithTables:
-    """Read a cache written by save_tables; ValueError if it is not one."""
+    """Read a cache written by save_tables; ValueError if it is not one or fails its digest."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path} is not a shell-count cache")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path} is truncated")
-        q, limit = struct.unpack("<qq", header)
-        data = np.frombuffer(fh.read(), dtype="<u8")
+        header, digest, body = fh.read(16), fh.read(64), fh.read()
+    if len(header) != 16 or digest != _digest(header, body):
+        raise ValueError(f"{path} is truncated or corrupt")
+    q, limit = struct.unpack("<qq", header)
+    data = np.frombuffer(body, dtype="<u8")
     if len(data) != limit + 1:
         raise ValueError(f"{path} is truncated")
     return ArithTables(q=q, limit=limit, prefix=data.astype(np.int64))
@@ -451,8 +432,8 @@ def load_tables(path: str | Path) -> ArithTables:
 def shell_tables(q: int, limit: int, cache_dir: str | Path | None = None) -> ArithTables:
     """Shell tables for (q, limit), kept as a file in cache_dir when given.
 
-    A cache file that cannot be read, or whose header names another
-    (q, limit), is rebuilt and replaced.
+    A cache file that cannot be read, fails its digest, or whose header
+    names another (q, limit), is rebuilt and replaced.
     """
     if not cache_dir:
         return build_r2q_prefix(q, limit)

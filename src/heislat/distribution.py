@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import BudgetError
-from .moments import _ergodic_value, _modulus_step, variance_series
-from .phi import build_phi, component_vanishes
+from .arithmetic import BudgetError, _frozen
+from .moments import _ergodic_value, _modulus_step, _octave_tail, variance_series
+from .phi import build_phi, component_vanishes, contributing_m
 
 DEFAULT_D_MOD = 8
 DEFAULT_K_MAX = 64
@@ -34,10 +34,6 @@ class CutoffError(BudgetError):
     """The characteristic function has not decayed below 1e-9 at the cutoff."""
 
 
-def contributing_m(m_max: int) -> list[int]:
-    return [m for m in range(1, m_max + 1) if not component_vanishes(m)]
-
-
 def _points_per_unit(k_max: int, refine: int) -> int:
     """Period-grid points per unit t: the power of two >= 4 k_max, times 2^refine."""
     return 1 << ((4 * k_max - 1).bit_length() + refine)
@@ -48,10 +44,7 @@ def _strip_bound(q: int, m: int, d_mod: int, k_max: int) -> tuple[np.ndarray, np
     """Heights y, with 2 pi n y <= 700 at level 0, and S(y) = sum |a| sinh(2 pi f y) over phi_m's spectrum."""
     num, den, a = build_phi(q, m, d_mod, k_max).spectrum()
     y = np.geomspace(1e-4, 1.0, 128) * 700 / (2 * math.pi * _points_per_unit(k_max, 0))
-    s = np.sinh(2 * math.pi * np.outer(y, num / den)) @ np.abs(a)
-    for arr in (y, s):
-        arr.setflags(write=False)
-    return y, s
+    return _frozen(y, np.sinh(2 * math.pi * np.outer(y, num / den)) @ np.abs(a))
 
 
 def _quadrature_level(q: int, m: int, d_mod: int, k_max: int, u_max: float):
@@ -180,13 +173,11 @@ def char_function(
 
 @dataclass
 class DensityGrid:
-    """Sampled characteristic function and inverted density, with its truncation box."""
+    """Inverted density p on the grid x, its truncation box, sigma cutoff and step, and error budget."""
 
     q: int
     x: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
     m_max: int
     d_mod: int
     k_max: int
@@ -230,6 +221,9 @@ def density(
 ) -> DensityGrid:
     """Limiting density on a grid of spacing sd/50 by direct trapezoid Fourier inversion.
 
+    The density is real, so Phi(-sigma) = conj Phi(sigma), and the trapezoid
+    rule over [-A, A] folds onto sigma = 0, step, ..., A with weights 1 at
+    both ends and 2 between: p = Re(e^{-2 pi i x sigma} @ (Phi w)) step.
     The omitted components m > m_max enter as a Gaussian closure factor.
     error_budget bounds or estimates each source of error in p, pointwise;
     factor_quadrature is the certified bound 2 sigma_max sum_m (bound_m +
@@ -261,29 +255,21 @@ def density(
         step = min(1.0 / (4 * A), 1.0 / (4 * max(abs(x_min), abs(x_max))))
     x_step = sd / 50.0
 
-    n_sig = int(math.ceil(A / step))
-    sigma = np.arange(-n_sig, n_sig + 1) * step
-    half = char_function(q, sigma[n_sig:], m_max, d_mod, k_max, v_tail)
-    phi_vals = np.concatenate([np.conj(half[:0:-1]), half])
-
+    sigma = np.arange(int(math.ceil(A / step)) + 1) * step
+    phi = char_function(q, sigma, m_max, d_mod, k_max, v_tail)
     x = np.arange(x_min, x_max + x_step / 2, x_step)
-    # trapezoid weights are uniform except at the endpoints
-    w = np.ones(len(sigma))
-    w[0] = w[-1] = 0.5
-    kernel = np.exp(-2j * math.pi * np.outer(x, sigma))
-    p_complex = kernel @ (phi_vals * w) * step
-    p = p_complex.real
+    w = np.full(len(sigma), 2.0)
+    w[0] = w[-1] = 1.0
+    p = (np.exp(-2j * math.pi * np.outer(x, sigma)) @ (phi * w)).real * step
 
     # Gaussian-envelope estimate of the |sigma| > A remainder
     cutoff_tail = 2 * probe / (4 * math.pi**2 * max(variance, 1e-12) * A)
 
     def coarsened(m, d, k):
         # redo the product at coarser knobs, tail variance rematched, integrate
-        # the change; tail mass shrinks like 2^(-1/2) per octave, so sum the
-        # octave increments as a geometric series with that ratio
-        coarse = char_function(q, sigma[n_sig:], m, d, k, tail_variance_estimate(q, m, d, k))
-        octave = 2.0 * float(np.sum(np.abs(coarse - half)) * step)
-        return octave * (2.0**-0.5) / (1.0 - 2.0**-0.5)
+        # the change over +-sigma; tail mass shrinks like 2^(-1/2) per octave
+        coarse = char_function(q, sigma, m, d, k, tail_variance_estimate(q, m, d, k))
+        return _octave_tail(2.0 * float(np.sum(np.abs(coarse - phi)) * step))
 
     # the Gaussian closure, applied already at m_max // 2, and the truncation
     # of the components themselves, at the next coarser box
@@ -304,7 +290,6 @@ def density(
         width = _phi_bins(q, m, d_mod, k_max, refine)[-1]
         quadrature += bound + (u_max * width / 2) ** 4 / 24
     budget = {
-        "imag_noise": float(np.max(np.abs(p_complex.imag))),
         "cutoff_remainder": float(cutoff_tail),
         "factor_quadrature": 2 * float(sigma[-1]) * quadrature,
         "tail_closure_residual": closure_residual,
@@ -312,7 +297,7 @@ def density(
         "aliasing": aliasing,
     }
     return DensityGrid(
-        q=q, x=x, p=p, sigma=sigma, phi=phi_vals, m_max=m_max, d_mod=d_mod, k_max=k_max,
+        q=q, x=x, p=p, m_max=m_max, d_mod=d_mod, k_max=k_max,
         cutoff=A, step=step, x_step=x_step, tail_variance=v_tail, error_budget=budget,
     )
 

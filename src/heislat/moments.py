@@ -24,11 +24,12 @@ from .arithmetic import (
     _branch_weights,
     _chi4_array,
     _frak_branch,
+    _frozen,
     _rep_weight,
     rep_weights,
     zeta_value,
 )
-from .phi import build_phi, component_vanishes
+from .phi import build_phi, component_vanishes, contributing_m
 
 
 @dataclass
@@ -70,10 +71,7 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.
     dd, kk = np.nonzero(np.where(np.gcd.outer(d, k) == 1, frak, 0.0))
     w = frak[dd, kk] / ((dd + 1.0) ** (q - 1.5) * (kk + 1.0) ** 1.5)
     # eps_sign(d, q): -1 on even d for odd q
-    items = (np.where((q % 2 == 1) & (dd % 2 == 1), -1, 1) * (kk + 1), dd + 1, w * (1 + 1j))
-    for arr in items:
-        arr.setflags(write=False)
-    return items
+    return _frozen(np.where((q % 2 == 1) & (dd % 2 == 1), -1, 1) * (kk + 1), dd + 1, w * (1 + 1j))
 
 
 _BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
@@ -250,9 +248,7 @@ def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) 
     total = 0.0
     err = 0.0
     per_m = {}
-    for m in range(1, m_max + 1):
-        if component_vanishes(m):
-            continue
+    for m in contributing_m(m_max):
         mv = q_analytic(q, m, 3, d_max, k_max)
         per_m[m] = mv.value
         total += mv.value
@@ -261,6 +257,11 @@ def third_moment_sum(q: int, m_max: int = 50, d_max: int = 16, k_max: int = 16) 
 
 
 VARIANCE_N_LIMIT = 200_000
+
+
+def _octave_tail(top: float) -> float:
+    """The remainder past a series' top octave, when each octave is 2^-1/2 of the one before."""
+    return top / (math.sqrt(2) - 1)
 
 
 def variance_series(q: int, d_max: int = 15) -> MomentValue:
@@ -276,21 +277,21 @@ def variance_series(q: int, d_max: int = 15) -> MomentValue:
     1/d of the pairs, tests gcd(n, d) = 1 as gcd(a, d) = 1, and bins into
     the 46,450 distinct representable n.  A cold call at the default box
     takes about 16 ms on a 2-core x86_64.  The n-tail estimate is empirical
-    (fitted log n / sqrt(n) shape); the d-tail uses the majorant.  The
-    series is summed once per (q, d_max); every call returns a fresh
+    (fitted log n / sqrt(n) shape, _octave_tail); the d-tail uses the
+    majorant.  The series is summed once per (q, d_max, n_limit), with
+    VARIANCE_N_LIMIT read at each call; every call returns a fresh
     MomentValue.  q < 3 or d_max < 1 raises ValueError before any sieving.
     """
     if q < 3:
         raise ValueError("need q >= 3")
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    value, err = _variance_series(q, d_max)
+    value, err = _variance_series(q, d_max, VARIANCE_N_LIMIT)
     return MomentValue(value, err, "direct-series", {"n_limit": VARIANCE_N_LIMIT, "d_max": d_max})
 
 
 @lru_cache(maxsize=None)
-def _variance_series(q: int, d_max: int) -> tuple[float, float]:
-    n_limit = VARIANCE_N_LIMIT
+def _variance_series(q: int, d_max: int, n_limit: int) -> tuple[float, float]:
     top = math.isqrt(n_limit)
     # the pairs b-major: row b holds a = 0..isqrt(n_limit - b^2) from offset
     # start[b]; pair 0, (0, 0), is left out of the pair arrays
@@ -326,9 +327,9 @@ def _variance_series(q: int, d_max: int) -> tuple[float, float]:
             sub_first = contrib
             octave = float(np.sum(terms[np.count_nonzero(seen[: n_limit // 2]) :]))
     value = half_pref * total
-    # n-tail estimate: the d = 1 series has a c log(t)/t^(3/2) density, whose
-    # mass in the top octave [n/2, n] is about (sqrt(2) - 1) of the remainder
-    tail_n = half_pref * octave / (math.sqrt(2) - 1)
+    # n-tail estimate: the d = 1 series has a c log(t)/t^(3/2) density, so
+    # each octave holds about 2^-1/2 of the one before
+    tail_n = half_pref * _octave_tail(octave)
     z = zeta_value(s)
     d_full = (1 - 2.0**-s) * z + 2 ** (2 * q) * 4.0**-s * z
     tail_d = max(d_full - d_partial, 0.0) * sub_first
@@ -349,13 +350,13 @@ def density_moment(
     sum_m Q(m, j).
 
     Errors propagate through both recursions to first order in absolute
-    values.  Each K_n also carries an m-tail estimate: the top octave
-    m_max/2 < m <= m_max of |kappa_n(m)| as a proxy for the remainder mass
-    (the n = 2 tail decays like log(m)/sqrt(m), higher orders faster).
+    values.  Each K_n also carries an m-tail estimate: the _octave_tail of
+    the top octave m_max/2 < m <= m_max of |kappa_n(m)| (the n = 2 tail
+    decays like log(m)/sqrt(m), higher orders faster).
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    ms = [m for m in range(1, m_max + 1) if not component_vanishes(m)]
+    ms = contributing_m(m_max)
     zeros = np.zeros(len(ms))
     mu, dmu = [np.ones(len(ms)), zeros], [zeros, zeros]
     for ell in range(2, j + 1):
@@ -370,10 +371,7 @@ def density_moment(
     kappa, dkappa = _cumulants(mu, dmu)
     top = np.array(ms) > m_max // 2
     K = [float(np.sum(k)) for k in kappa]
-    dK = [
-        float(np.sum(e)) + float(np.sum(np.abs(k[top]))) / (math.sqrt(2) - 1)
-        for k, e in zip(kappa, dkappa)
-    ]
+    dK = [float(np.sum(e)) + _octave_tail(float(np.sum(np.abs(k[top])))) for k, e in zip(kappa, dkappa)]
     M, dM = _moments(K, dK)
     return MomentValue(M[j], dM[j], "cumulant", {"m_max": m_max, "j": j, "d_max": d_max, "k_max": k_max})
 

@@ -19,15 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import (
-    _branch,
-    _branch_weights,
-    has_prime_factor_3_mod_4,
-    is_squarefree,
-    rep_weights,
-    rho_chi_q,
-    rho_q,
-)
+from .arithmetic import _branch, _branch_weights, _frozen, rep_weights, rho_chi_q, rho_q
 
 # points per block of PhiTruncation.__call__, about 40 bytes of working memory
 # each (t mod den, z and the Horner accumulator).  On partial_sum_phi at 4000
@@ -44,8 +36,26 @@ def _amplitudes(coef, is_cos) -> np.ndarray:
 
 
 def component_vanishes(m: int) -> bool:
-    """phi_m is identically zero unless m is squarefree with no p = 3 mod 4."""
-    return not is_squarefree(m) or has_prime_factor_3_mod_4(m)
+    """phi_m is identically zero unless m is squarefree with no prime p = 3 mod 4.
+
+    One trial-division pass: True at the first prime that divides m twice or
+    is 3 mod 4; what is left after the loop is 1 or a prime.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0 or p % 4 == 3:
+                return True
+        p += 1 if p == 2 else 2
+    return m % 4 == 3
+
+
+def contributing_m(m_max: int) -> list[int]:
+    """The m <= m_max whose component phi_m does not vanish."""
+    return [m for m in range(1, m_max + 1) if not component_vanishes(m)]
 
 
 @dataclass
@@ -86,9 +96,7 @@ class PhiTruncation:
             den, num = np.divmod(keys, stride)
             z = _amplitudes(self.coef, self.is_cos)
             a = np.bincount(inv, z.real, len(keys)) + 1j * np.bincount(inv, z.imag, len(keys))
-            for arr in (num, den, a):
-                arr.setflags(write=False)
-            self._spec = (num, den, a)
+            self._spec = _frozen(num, den, a)
         return self._spec
 
     def __call__(self, t) -> np.ndarray:
@@ -171,16 +179,15 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
     """
     if q < 3 or m < 1:
         raise ValueError("need q >= 3 and m >= 1")
+    if d_max < 1 or k_max < 1:
+        raise ValueError("need d_max >= 1 and k_max >= 1")
     k = np.arange(1, 1 if component_vanishes(m) else k_max + 1)  # no terms when phi_m vanishes
     d = np.arange(1, d_max + 1)
     factor, w, twisted = _branch_weights(rep_weights(q, m * k * k, d_max), q, _branch)
     pref = amplitude_prefactor(q) * (1.0 / m**0.75)
     coef = (pref * factor * w).T / np.multiply.outer(d ** (q - 1.5), k**1.5)
     dd, kk = np.nonzero(coef)
-    arrays = (k[kk], d[dd], coef[dd, kk], twisted[dd])
-    for arr in arrays:
-        arr.setflags(write=False)
-    return PhiTruncation(q, m, d_max, k_max, *arrays)
+    return PhiTruncation(q, m, d_max, k_max, *_frozen(k[kk], d[dd], coef[dd, kk], twisted[dd]))
 
 
 def amplitude_prefactor(q: int) -> float:
@@ -199,7 +206,6 @@ def partial_sum_phi(q: int, M: int, x, d_max: int = 128, k_max: int = 128) -> np
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.zeros_like(x)
-    for m in range(1, M + 1):
-        if not component_vanishes(m):
-            out += build_phi(q, m, d_max, k_max)(math.sqrt(m) * x * x)
+    for m in contributing_m(M):
+        out += build_phi(q, m, d_max, k_max)(math.sqrt(m) * x * x)
     return out

@@ -22,11 +22,8 @@ from heislat.arithmetic import (
     build_r2q_prefix,
     chi4,
     eps_sign,
-    has_prime_factor_3_mod_4,
-    is_squarefree,
     l_chi4_value,
     load_tables,
-    mobius,
     r2,
     rep_weights,
     rho_chi_q,
@@ -37,14 +34,6 @@ from heislat.arithmetic import (
 )
 
 
-def test_mobius_known_values():
-    assert mobius(1) == 1
-    assert mobius(2) == -1
-    assert mobius(4) == 0
-    assert mobius(6) == 1
-    assert mobius(30) == -1
-
-
 def test_chi4_periodic_and_multiplicative():
     for n in range(1, 200):
         assert chi4(n) == chi4(n + 4)
@@ -52,12 +41,6 @@ def test_chi4_periodic_and_multiplicative():
     for a in range(1, 30):
         for b in range(1, 30):
             assert chi4(a * b) == chi4(a) * chi4(b)
-
-
-def test_squarefree_and_bad_prime_filters():
-    assert is_squarefree(10) and not is_squarefree(12)
-    assert has_prime_factor_3_mod_4(21)
-    assert not has_prime_factor_3_mod_4(65)
 
 
 def test_two_square_reps_total_matches_r2():

@@ -102,6 +102,14 @@ def test_moments_zero_box_exit_2(flag, capsys):
         assert "for its error estimate" in captured.err
 
 
+@pytest.mark.parametrize("command", [["phi", "--m", "1", "--t", "0.5"], ["phi-sum", "--M", "5", "--x", "1.5"]])
+@pytest.mark.parametrize("flag", ["--D", "--K"])
+def test_phi_zero_box_exit_2(command, flag, capsys):
+    assert run([command[0], "--q", "3", *command[1:], flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "argument error: need d_max >= 1 and k_max >= 1\n"
+
+
 def test_moments_routes_agree(capsys):
     assert run(["moments", "--q", "3", "--m", "2", "--l", "2", "--method", "closed2"]) == 0
     closed = json.loads(capsys.readouterr().out)
@@ -177,7 +185,7 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert list((tmp_path / "cache").glob("shells_*.bin"))
 
 
-@pytest.mark.parametrize("damage", ["magic-only", "short-body", "other-q"])
+@pytest.mark.parametrize("damage", ["magic-only", "short-body", "other-q", "flipped-entry"])
 def test_cache_rebuilds_bad_file(tmp_path, capsys, damage):
     assert run(["count", "--q", "3", "--x", "2"]) == 0
     expect = capsys.readouterr().out.strip()
@@ -191,6 +199,9 @@ def test_cache_rebuilds_bad_file(tmp_path, capsys, damage):
         path.write_bytes(CACHE_MAGIC)
     elif damage == "short-body":
         path.write_bytes(good[:-8])
+    elif damage == "flipped-entry":
+        # the low bit of the last prefix sum: a well-formed file with a wrong count
+        path.write_bytes(good[:-8] + bytes([good[-8] ^ 1]) + good[-7:])
     else:
         path.write_bytes(CACHE_MAGIC + struct.pack("<q", 4) + good[len(CACHE_MAGIC) + 8 :])
     assert run(argv) == 0

@@ -249,6 +249,20 @@ def test_density_budget_entries(small_grid):
     assert small_grid.total_error == pytest.approx(sum(budget.values()))
 
 
+@pytest.mark.parametrize("A", [None, 0.25])
+def test_density_matches_two_sided_inversion(small_grid, A):
+    # the trapezoid rule over [-A, A] with Phi formed at both signs of sigma;
+    # at A = 0.25, |Phi(A)| is about 6e-10, so the weight at A shows in p
+    grid = small_grid if A is None else density(3, m_max=30, d_mod=4, k_max=32, A=A)
+    n_sig = int(np.ceil(grid.cutoff / grid.step))
+    sigma = np.arange(-n_sig, n_sig + 1) * grid.step
+    phi = char_function(3, sigma, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
+    w = np.ones(len(sigma))
+    w[0] = w[-1] = 0.5
+    p = (np.exp(-2j * np.pi * np.outer(grid.x, sigma)) @ (phi * w) * grid.step).real
+    assert np.max(np.abs(p - grid.p)) <= 1e-15
+
+
 def test_density_records_its_box(small_grid):
     assert (small_grid.m_max, small_grid.d_mod, small_grid.k_max) == (30, 4, 32)
 

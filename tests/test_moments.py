@@ -217,10 +217,8 @@ def _variance_oracle(q, d_max, n_limit):
 
 @pytest.fixture
 def small_variance_box(monkeypatch):
-    moments._variance_series.cache_clear()
     monkeypatch.setattr(moments, "VARIANCE_N_LIMIT", 3000)
-    yield 3000
-    moments._variance_series.cache_clear()
+    return 3000
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -230,6 +228,16 @@ def test_variance_series_matches_plain_loop(q, small_variance_box):
     mv = variance_series(q, d_max=12)
     assert mv.meta == {"n_limit": small_variance_box, "d_max": 12}
     assert (mv.value, mv.error) == pytest.approx(_variance_oracle(q, 12, small_variance_box), rel=1e-12)
+
+
+def test_variance_series_rereads_n_limit(monkeypatch):
+    # the summed series is cached with its n_limit, so a changed constant is
+    # summed anew and labelled as what it is
+    variance_series(3, d_max=12)
+    monkeypatch.setattr(moments, "VARIANCE_N_LIMIT", 3000)
+    mv = variance_series(3, d_max=12)
+    assert mv.meta == {"n_limit": 3000, "d_max": 12}
+    assert (mv.value, mv.error) == pytest.approx(_variance_oracle(3, 12, 3000), rel=1e-12)
 
 
 def test_variance_series_dominates_partial_sums():

@@ -26,6 +26,30 @@ def test_component_support():
     assert component_vanishes(21)
 
 
+def _factor(m):
+    """{p: exponent} of m, by trial division over every integer 2 <= p <= sqrt(m)."""
+    out, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def test_component_rule_matches_definition():
+    # phi_m vanishes exactly when some prime divides m twice or is 3 mod 4
+    for m in range(1, 5001):
+        exps = _factor(m)
+        assert component_vanishes(m) == any(e >= 2 or p % 4 == 3 for p, e in exps.items()), m
+    assert not component_vanishes(10) and not component_vanishes(65)  # 2 * 5, 5 * 13
+    assert component_vanishes(12) and component_vanishes(21)  # 2^2 * 3, 3 * 7
+    with pytest.raises(ValueError, match="need m >= 1"):
+        component_vanishes(0)
+
+
 def _term_sum(trunc, t):
     """The unmerged term list summed one term at a time."""
     out = np.zeros_like(t)

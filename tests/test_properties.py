@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislat.arithmetic import chi4, mobius, r2, rep_weights, two_square_reps
+from heislat.arithmetic import chi4, r2, rep_weights, two_square_reps
 from heislat.lattice import count_points, count_points_fast
 from heislat.moments import _frak_table, q2_closed
 from heislat.phi import build_phi, component_vanishes
@@ -58,9 +58,9 @@ def test_reps_consistent_with_r2(n):
 
 @given(n=st.integers(1, 2000))
 @settings(max_examples=200, deadline=None)
-def test_mobius_square_kills(n):
-    assert mobius(4 * n) == 0
-    assert mobius(9 * n) == 0
+def test_square_factor_kills_component(n):
+    assert component_vanishes(4 * n)
+    assert component_vanishes(9 * n)
 
 
 @given(m=st.integers(1, 60))
