@@ -282,8 +282,9 @@ def build_r2q_prefix(q: int, limit: int) -> ArithTables:
     """
     if q < 1 or limit < 0:
         raise ValueError("need q >= 1 and limit >= 0")
-    inner = math.sqrt(limit) - math.sqrt(2 * q) / 2
-    if inner > 0 and q * math.log(math.pi * inner * inner) - math.lgamma(q + 1) > math.log(INT64_SAFE) + 1e-9:
+    # the radius whose 2q-ball has volume INT64_SAFE; an int of any size compares exactly with a float
+    r_safe = math.exp((math.log(INT64_SAFE) + 1e-9 + math.lgamma(q + 1)) / (2 * q)) / math.sqrt(math.pi)
+    if limit > (r_safe + math.sqrt(2 * q) / 2) ** 2:
         raise BudgetError("cumulative counts exceed the exact int64 budget")
     sq = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
     weight = np.where(sq > 0, 2, 1)

@@ -230,15 +230,26 @@ def density(
     taylor_m) of _quadrature_level and the _phi_bins Taylor remainder.
     tail_closure_residual and truncation_residual coarsen to m_max // 2 and
     to _modulus_step(d_mod, k_max), so m_max < 8 or a box with no coarser
-    step raises ValueError.
+    step raises ValueError, and so does a given A or step that is not
+    finite and > 0, or a grid [x_min, x_max] that is not finite with
+    x_min < x_max, before any inversion work.
     """
     if m_max < 8:
         raise ValueError(f"m_max = {m_max} has no coarser closure for its error estimate; need m_max >= 8")
+    for name, val in (("A", A), ("step", step)):
+        if val is not None and not 0 < val < math.inf:
+            raise ValueError(f"need a finite {name} > 0, got {name} = {val}")
     coarse_box = _modulus_step(d_mod, k_max)
-    v_tail = tail_variance_estimate(q, m_max, d_mod, k_max)
     # the variance the Gaussian closure restores, as tail_variance_estimate says
     variance = variance_series(q).value
     sd = math.sqrt(max(variance, 1e-12))
+    if x_min is None:
+        x_min = -8.0 * sd
+    if x_max is None:
+        x_max = 8.0 * sd
+    if not -math.inf < x_min < x_max < math.inf:
+        raise ValueError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
+    v_tail = tail_variance_estimate(q, m_max, d_mod, k_max)
 
     if A is None:
         A, probe = _locate_cutoff(q, m_max, d_mod, k_max, v_tail, sd)
@@ -247,10 +258,6 @@ def density(
     if probe >= 1e-9:
         raise CutoffError(f"|Phi({A})| = {probe:.2e} has not decayed below 1e-9")
 
-    if x_min is None:
-        x_min = -8.0 * sd
-    if x_max is None:
-        x_max = 8.0 * sd
     if step is None:
         step = min(1.0 / (4 * A), 1.0 / (4 * max(abs(x_min), abs(x_max))))
     x_step = sd / 50.0

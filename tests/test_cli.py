@@ -110,6 +110,34 @@ def test_phi_zero_box_exit_2(command, flag, capsys):
     assert captured.out == "" and captured.err == "argument error: need d_max >= 1 and k_max >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["phi", "--q", "3", "--m", "1", "--t", "inf"], 2),
+        (["phi-sum", "--q", "3", "--M", "5", "--x", "nan"], 2),
+        (["voronoi-gap", "--q", "3", "--X", "4", "--H", "inf"], 2),
+        (["voronoi-gap", "--q", "3", "--X", "4", "--H", "nan"], 2),
+        (["voronoi-gap", "--q", "3", "--X", "4", "--H", "-5"], 2),
+        (["density", "--q", "3", "--A", "-1"], 2),
+        (["density", "--q", "3", "--A", "inf"], 2),
+        (["density", "--q", "3", "--A", "nan"], 2),
+        (["density", "--q", "3", "--step", "0"], 2),
+        (["density", "--q", "3", "--step", "-0.01"], 2),
+        (["density", "--q", "3", "--xmin", "5", "--xmax", "-5"], 2),
+        (["error", "--q", "3", "--x", "1e400"], 3),
+        (["count", "--q", "3", "--x", "1e400"], 3),
+    ],
+    ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else None,
+)
+def test_bad_input_exit_code(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("argument error:" if code == 2 else "budget error:")
+    if "--H" in argv:
+        assert "H =" in captured.err
+
+
 def test_moments_routes_agree(capsys):
     assert run(["moments", "--q", "3", "--m", "2", "--l", "2", "--method", "closed2"]) == 0
     closed = json.loads(capsys.readouterr().out)

@@ -137,6 +137,55 @@ def test_call_accuracy_at_large_t(m):
     assert np.max(np.abs(got - want)) <= 1e-11 * (1 + np.max(np.abs(want)))
 
 
+def _np_mod_call(trunc, t):
+    """PhiTruncation.__call__ with np.mod(t, D) as its reduction and the same Horner pass."""
+    num, den, a = trunc.spectrum()
+    out = np.zeros(len(t))
+    for D in np.unique(den).tolist():
+        sel = den == D
+        coef = np.zeros(int(num[sel][-1]), complex)
+        coef[num[sel] - 1] = a[sel]
+        phase = np.mod(t, D)
+        phase *= 2 * math.pi / D
+        z, acc = np.empty(len(t), complex), np.zeros(len(t), complex)
+        np.cos(phase, out=z.real)
+        np.sin(phase, out=z.imag)
+        for c in coef[::-1].tolist():
+            if c:
+                acc += c
+            acc *= z
+        out += acc.real
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 13])
+def test_call_reduction_is_np_mod(m):
+    # t = k D - ulp, k D and k D + ulp for each denominator, up to 2^40 and on to
+    # 2^52 - 1, and subnormals, of both signs: the floor form with its fix-up is
+    # np.mod bit for bit
+    rng = np.random.default_rng(m)
+    trunc = build_phi(3, m, 64, 64)
+    dens = sorted(set(trunc.spectrum()[1].tolist()))
+    t = _edge_points(trunc, rng) + [0.0, 2.0**52 - 1, 5e-324, 1e-323, 2.0**-1070]
+    for D in dens:
+        for k in (1, 3, int(rng.integers(2**20)), int(rng.integers(2**40 // D))):
+            t += [np.nextafter(k * D, -np.inf), float(k * D), np.nextafter(k * D, np.inf)]
+    t = np.array(t + [-x for x in t])
+    assert np.array_equal(trunc(t), _np_mod_call(trunc, t))
+    # where a negative t / D underflows to -0, fl(t / D) rounds up to the next
+    # integer and the fix-up acts
+    assert any(math.floor(x / D) * D > x for D in dens for x in t.tolist())
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 2.0**52, -(2.0**52), 1e300])
+def test_call_rejects_t_beyond_exact_reduction(t):
+    trunc = build_phi(3, 2, 8, 8)
+    with pytest.raises(ValueError, match="2\\^52"):
+        trunc(t)
+    with pytest.raises(ValueError, match="2\\^52"):
+        trunc(np.array([1.0, t]))
+
+
 def test_call_scalar_negative_and_zero():
     trunc = build_phi(3, 1, 8, 64)
     t = np.array([-1234.5, -37.25, -3.1, -1e-3, 0.0, 1e-3, 2.5])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heislat import voronoi
-from heislat.arithmetic import _branch, _rep_weight, build_r2q_prefix, chi4, rho_chi_q, rho_q, two_square_reps
+from heislat.arithmetic import _branch, _chi4_array, _rep_weight, build_r2q_prefix, chi4, rho_chi_q, rho_q, two_square_reps
 from heislat.empirical import sample_errors
 from heislat.phi import _amplitudes
 from heislat.voronoi import (
@@ -17,6 +17,7 @@ from heislat.voronoi import (
     _T_rows,
     _chirp_sum,
     _trig_sum,
+    _turns,
     build_S_terms,
     eval_S_streaming,
     gap_report,
@@ -257,6 +258,56 @@ def test_t_sums_match_scalar_loop():
     assert np.max(np.abs(got_chi - want_chi)) <= 1e-12 * (1 + np.max(np.abs(want_chi)))
     assert np.max(np.abs(got_upper - want_upper)) <= 1e-12 * (1 + np.max(np.abs(want_upper)))
     assert np.any(want_chi != 0) and np.any(want_upper != 0)
+
+
+def _T_rows_per_modulus(q, H):
+    """The q=3 tail rows built one modulus at a time: the oracle of the one-pass _T_rows."""
+    amp = 2 ** (q - 1) * rho_chi_q(q)
+    for d in range(math.isqrt(math.floor(H)) + 1, math.floor(H) + 1):
+        factor, twisted = _branch(d, q)
+        if not factor:
+            continue
+        h_top = math.floor(H / d)
+        h = np.arange(1, h_top + 1)
+        k = tau(h / (h_top + 1)) / (d ** (q - 1.5) * h**1.5)
+        if twisted:
+            odd = h % 2 == 1
+            yield h[odd] / d, amp * factor * _chi4_array(h[odd]) * k[odd], True
+        else:
+            yield h / d, amp * factor * k, False
+
+
+@pytest.mark.parametrize("H", [1, 10, 10.5, 16, 288, 512, 3200])
+def test_t_rows_equal_per_modulus_build(H):
+    # the same rows, in the same order, bit for bit; H = 16 has an integer sqrt(H)
+    got, want = list(_T_rows(3, H)), list(_T_rows_per_modulus(3, H))
+    assert len(got) == len(want)
+    for (f, c, ic), (wf, wc, wic) in zip(got, want):
+        assert ic is wic and f.tobytes() == wf.tobytes() and c.tobytes() == wc.tobytes()
+
+
+def test_turns_reduce_as_np_mod():
+    rng = np.random.default_rng(5)
+    edges = [0.0, 1.0, 1 - 2.0**-53, 2.0**52 - 1, 2.0**52, 2.0**60, 1e-300, 5e-324]
+    t = np.concatenate([rng.uniform(-1e7, 1e7, 4000), rng.uniform(-2, 2, 4000), edges, np.negative(edges)])
+    want = np.mod(t, 1.0) * (2 * math.pi)
+    got_t = t.copy()
+    z, want_z = _turns(got_t), np.empty(len(t), complex)
+    np.cos(want, out=want_z.real)
+    np.sin(want, out=want_z.imag)
+    assert got_t.tobytes() == want.tobytes() and z.tobytes() == want_z.tobytes()
+
+
+def test_gap_below_unit_H_is_raw_mean_square(tables_q3):
+    series = sample_errors(3, tables_q3, 10, 40)
+    for H in (0.0, 0.5):
+        rep = gap_report(series, H)
+        assert rep.terms == 0 and rep.gap == float(np.mean(series.err**2))
+
+
+@pytest.mark.parametrize("X, gap", [(10, 2.490911214929993), (24, 0.39882729036611403), (32, 0.3704243350648525)])
+def test_mean_square_gap_pinned(X, gap):
+    assert mean_square_gap(3, build_r2q_prefix(3, 64**2), X, 97) == gap
 
 
 def _chirp_against_direct(rows, num, den):
