@@ -1,6 +1,6 @@
 """Acceptance checks: every release criterion as a callable returning
-(passed, detail).  The CLI `verify` subcommand prints one line per check;
-the test suite wraps the same functions."""
+(passed, detail), its checks stated as rows of one ledger (_verdict).  The CLI
+`verify` subcommand prints one line per criterion; the test suite wraps the same functions."""
 
 from __future__ import annotations
 
@@ -31,43 +31,56 @@ def _tables(q: int, limit: int):
     return tables
 
 
+def _verdict(*rows):
+    """(passed, detail) of check rows (name, value, holds, bound): passed is the AND of every
+    row, and detail lists each as "name value vs bound" to 4 digits, led by FAIL where it fails."""
+    lines = (f"{'' if holds else 'FAIL '}{name} {value:.4g} vs {bound:.4g}" for name, value, holds, bound in rows)
+    return all(holds for _, _, holds, _ in rows), "; ".join(lines)
+
+
+def _at_most(name, value, bound):
+    return name, value, value <= bound, bound
+
+
+def _below(name, value, bound):
+    return name, value, value < bound, bound
+
+
+def _family(name, rows):
+    """One row for a loop's check rows, which share a bound: the largest value, naming every failing row."""
+    bad = [label for label, _, holds, _ in rows if not holds]
+    worst = max(rows, key=lambda row: row[1])
+    return f"{name} ({'failing ' + ', '.join(bad) if bad else 'worst ' + worst[0]})", worst[1], not bad, worst[3]
+
+
 def criterion_1_counting_oracle():
     """count_points equals brute-force enumeration for small dilations."""
-    x4_values = [Fraction(1, 16), Fraction(1), Fraction(81, 16), Fraction(4), Fraction(16), Fraction(625, 16), Fraction(81)]
-    labels = ["0.5", "1", "1.5", "sqrt2", "2", "2.5", "3"]
-    checked = 0
-    for q in (3, 4):
-        for x4, lab in zip(x4_values, labels):
-            a = count_points(q, x4=x4)
-            b = count_points_bruteforce(q, x4=x4)
-            if a != b:
-                return False, f"q={q} x={lab}: table count {a} != brute force {b}"
-            checked += 1
-    return True, f"{checked} exact count comparisons"
+    x4s = [Fraction(1, 16), Fraction(1), Fraction(81, 16), Fraction(4), Fraction(16), Fraction(625, 16), Fraction(81)]
+    gaps = {f"q={q} x^4={x4}": count_points(q, x4=x4) - count_points_bruteforce(q, x4=x4) for q in (3, 4) for x4 in x4s}
+    return _verdict(_family("|count - brute force|", [(k, abs(g), g == 0, 0) for k, g in gaps.items()]))
 
 
 def criterion_2_volume():
     """Closed-form ball volume vs adaptive quadrature, 10 significant digits."""
     from scipy.integrate import quad
 
-    worst = 0.0
+    rows = []
     for q in range(3, 9):
-        closed = volume_unit_ball(q)
         integral, _ = quad(lambda w: (1 - w * w) ** (q / 2), -1, 1, epsabs=1e-13, epsrel=1e-13)
         ref = math.pi**q / math.gamma(q + 1) * integral
-        rel = abs(closed - ref) / ref
-        worst = max(worst, rel)
-        if rel > 1e-10:
-            return False, f"q={q}: closed {closed!r} vs quadrature {ref!r}"
+        rel = abs(volume_unit_ball(q) - ref) / ref
+        rows.append(_at_most(f"q={q}", rel, 1e-10))
     exact3 = math.pi**4 / 16
-    if abs(volume_unit_ball(3) - exact3) > 4 * np.finfo(float).eps * exact3:
-        return False, f"q=3 volume differs from pi^4/16 beyond machine precision"
-    return True, f"max relative deviation {worst:.2e}; q=3 equals pi^4/16"
+    return _verdict(
+        _family("relative deviation from quadrature", rows),
+        _at_most("|V(3) - pi^4/16|", abs(volume_unit_ball(3) - exact3), 4 * np.finfo(float).eps * exact3),
+    )
 
 
 def criterion_3_scaling_laws():
     """Exhaustive exact scaling identities of the weighted counts."""
     m, s, d = np.arange(1, 201), np.arange(1, 6), np.arange(1, 11)
+    rows = []
     for q in (3, 4):
         # rows m s^2, indexed [m - 1, s - 1]
         table = rep_weights(q, np.outer(m, s * s).ravel(), 50).reshape(2, len(m), len(s), 50)
@@ -75,43 +88,31 @@ def criterion_3_scaling_laws():
         for si in s.tolist():
             scaled = table[:, :, si - 1, d * si - 1]
             for twisted, want in enumerate((base[0], chi4(si) * base[1])):
-                bad = np.argwhere(scaled[twisted] != want)
-                if len(bad):
-                    kind = "twisted scaling" if twisted else "scaling law"
-                    return False, f"{kind} fails at q={q} m={bad[0][0] + 1} d={bad[0][1] + 1} s={si}"
-    return True, f"{2 * 2 * len(m) * len(d) * len(s)} identities hold exactly"
+                bad = int(np.count_nonzero(scaled[twisted] != want))
+                rows.append((f"{'twisted ' * twisted}q={q} s={si}", bad, bad == 0, 0))
+    return _verdict(_family(f"{len(rows) * m.size * d.size} identities: failures per law", rows))
 
 
 def criterion_4_moment_cross_validation():
     """Three routes to Q(m, 2) agree; Q(m, 1) vanishes."""
-    details = []
+    rows = {"ergodic gap/error": [], "analytic gap/error": [], "|Q(m,1)| ergodic": [], "|Q(m,1)| analytic": []}
     for q in (3, 4):
         for m in (1, 2, 5, 13, 17):
-            closed = q2_closed(q, m)
-            ergodic = q_ergodic(q, m, 2)
-            analytic = q_analytic(q, m, 2, d_max=40, k_max=40)
-            gap_e = abs(ergodic.value - closed.value)
-            gap_a = abs(analytic.value - closed.value)
-            if gap_e > ergodic.error + closed.error:
-                return False, f"q={q} m={m}: ergodic {ergodic.value} vs closed {closed.value} beyond {ergodic.error + closed.error:.2e}"
-            if gap_a > analytic.error + closed.error:
-                return False, f"q={q} m={m}: analytic {analytic.value} vs closed {closed.value} beyond {analytic.error + closed.error:.2e}"
-            first = q_ergodic(q, m, 1)
-            if abs(first.value) > 1e-9 or q_analytic(q, m, 1).value != 0.0:
-                return False, f"q={q} m={m}: first moment {first.value} not zero"
-            details.append(gap_e)
-    return True, f"max ergodic-closed gap {max(details):.2e} within combined errors"
+            label, closed = f"q={q} m={m}", q2_closed(q, m)
+            for route, mv in (("ergodic", q_ergodic(q, m, 2)), ("analytic", q_analytic(q, m, 2, d_max=40, k_max=40))):
+                gap, error = abs(mv.value - closed.value), mv.error + closed.error
+                rows[f"{route} gap/error"].append((label, gap / error, gap <= error, 1.0))
+            first, first_analytic = abs(q_ergodic(q, m, 1).value), abs(q_analytic(q, m, 1).value)
+            rows["|Q(m,1)| ergodic"].append(_at_most(label, first, 1e-9))
+            rows["|Q(m,1)| analytic"].append((label, first_analytic, first_analytic == 0.0, 0.0))
+    return _verdict(*(_family(name, family) for name, family in rows.items()))
 
 
 def criterion_5_third_moment():
     """Sum of third moments is negative, beyond its truncation error."""
-    report = []
-    for q in (3, 4, 5):
-        mv = third_moment_sum(q, m_max=50)
-        if not (mv.value < 0 and mv.value + mv.error < 0):
-            return False, f"q={q}: sum {mv.value:.3e} with error {mv.error:.3e} does not stay negative"
-        report.append(f"q={q}: {mv.value:.3e}")
-    return True, "; ".join(report)
+    sums = {q: third_moment_sum(q, m_max=50) for q in (3, 4, 5)}
+    return _verdict(*((f"q={q} sum {v.value:.4g}, with error", v.value + v.error, v.value < 0 and v.value + v.error < 0, 0)
+                      for q, v in sums.items()))
 
 
 @lru_cache(maxsize=None)
@@ -122,119 +123,73 @@ def _density_grid(m_max: int = 60, d_mod: int = 6, k_max: int = 64, A: float | N
 def criterion_6_density_integrity():
     """Mass, mean, variance, skew sign, positivity, symmetry of P and Phi."""
     grid = _density_grid()
-    rep = cdf_and_moments(grid)
-    mass, mean, second, third = rep["moments"][:4]
+    mass, mean, second, third = cdf_and_moments(grid)["moments"][:4]
     target = variance_series(3).value
-    checks = []
-    if abs(mass - 1) > 1e-3:
-        return False, f"mass {mass} off 1 by more than 1e-3"
-    if abs(mean) > 1e-3:
-        return False, f"mean {mean} beyond 1e-3"
-    if abs(second - target) / target > 0.02:
-        return False, f"second moment {second} vs series {target} beyond 2%"
-    if third >= 0:
-        return False, f"third moment {third} not negative"
-    if grid.p.min() < -1e-8:
-        return False, f"density dips to {grid.p.min()}"
-    phi0 = complex(char_function(3, 0.0, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance))
-    if abs(phi0 - 1) > 1e-12:
-        return False, f"Phi(0) = {phi0}"
+    box = (grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
     sig = np.array([0.05, 0.11, 0.23]) * grid.cutoff
-    plus = char_function(3, sig, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
-    minus = char_function(3, -sig, grid.m_max, grid.d_mod, grid.k_max, grid.tail_variance)
-    sym = float(np.max(np.abs(plus - np.conj(minus))))
-    if sym > 1e-10:
-        return False, f"conjugate symmetry violated at {sym:.2e}"
-    return True, (
-        f"mass {mass:.6f}, mean {mean:.2e}, m2 {second:.4f} vs {target:.4f}, "
-        f"m3 {third:.4f}, min P {grid.p.min():.1e}, symmetry {sym:.1e}"
+    asymmetry = float(np.max(np.abs(char_function(3, sig, *box) - np.conj(char_function(3, -sig, *box)))))
+    return _verdict(
+        _at_most("|mass - 1|", abs(mass - 1), 1e-3),
+        _at_most("|mean|", abs(mean), 1e-3),
+        _at_most(f"m2 {second:.6g} vs series {target:.6g}: relative gap", abs(second - target) / target, 0.02),
+        _below("m3", third, 0),
+        _at_most("-min P", -grid.p.min(), 1e-8),
+        _at_most("|Phi(0) - 1|", abs(complex(char_function(3, 0.0, *box)) - 1), 1e-12),
+        _at_most("|Phi(s) - conj Phi(-s)|", asymmetry, 1e-10),
     )
 
 
 def criterion_7_empirical_convergence():
     """Finite-X samples approach the limiting density as X grows."""
-    q = 3
-    tables = _tables(q, (2 * 300) ** 2)
-    series300 = sample_errors(q, tables, 300, 4000)
-    series75 = sample_errors(q, tables, 75, 4000)
-    stats = series300.stats()
-    target = variance_series(q).value
-    if abs(stats["mean"]) >= 0.05:
-        return False, f"mean {stats['mean']} too large"
-    if abs(stats["second"] - target) / target > 0.10:
-        return False, f"second moment {stats['second']} vs {target} beyond 10%"
-    if stats["third"] >= 0:
-        return False, f"third moment {stats['third']} not negative"
-    grid = _density_grid()
-    ks300 = ks_distance(series300, grid)
-    ks75 = ks_distance(series75, grid)
-    ksg = ks_distance_gaussian(series300, cdf_and_moments(grid)["moments"][2])
-    if not ks300 < ks75:
-        return False, f"KS(300) = {ks300:.4f} not below KS(75) = {ks75:.4f}"
-    if not ks300 < ksg:
-        return False, f"KS(300) = {ks300:.4f} not below Gaussian KS = {ksg:.4f}"
-    return True, (
-        f"mean {stats['mean']:.4f}, m2 {stats['second']:.3f} vs {target:.3f}, "
-        f"m3 {stats['third']:.3f}, KS300 {ks300:.4f} < KS75 {ks75:.4f}, gaussian {ksg:.4f}"
+    tables = _tables(3, (2 * 300) ** 2)
+    series300, series75 = sample_errors(3, tables, 300, 4000), sample_errors(3, tables, 75, 4000)
+    stats, target, grid = series300.stats(), variance_series(3).value, _density_grid()
+    second, ks300 = stats["second"], ks_distance(series300, grid)
+    return _verdict(
+        _below("|mean|", abs(stats["mean"]), 0.05),
+        _at_most(f"m2 {second:.4g} vs series {target:.4g}: relative gap", abs(second - target) / target, 0.10),
+        _below("m3", stats["third"], 0),
+        _below("KS300 vs KS75", ks300, ks_distance(series75, grid)),
+        _below("KS300 vs Gaussian KS", ks300, ks_distance_gaussian(series300, cdf_and_moments(grid)["moments"][2])),
     )
 
 
 def criterion_8_component_gap():
     """L2 gap to the component partial sums shrinks with more components."""
-    q = 3
-    tables = _tables(q, (2 * 200) ** 2)
-    gaps = component_sum_l2_gap(sample_errors(q, tables, 200, 1500), [1, 5, 10, 20, 40])
-    seq = [gaps[M] for M in (1, 5, 10, 20, 40)]
-    if not all(a > b for a, b in zip(seq, seq[1:])):
-        return False, f"gaps not strictly decreasing: {gaps}"
-    if not gaps[40] < 0.5 * gaps[0]:
-        return False, f"gap(40) = {gaps[40]:.4f} not below half of gap(0) = {gaps[0]:.4f}"
-    return True, ", ".join(f"M={M}: {gaps[M]:.4f}" for M in (0, 1, 5, 10, 20, 40))
+    gaps = component_sum_l2_gap(sample_errors(3, _tables(3, (2 * 200) ** 2), 200, 1500), [1, 5, 10, 20, 40])
+    return _verdict(
+        *(_below(f"gap(M={b}) vs gap(M={a})", gaps[b], gaps[a]) for a, b in ((1, 5), (5, 10), (10, 20), (20, 40))),
+        _below("gap(M=40) vs gap(M=0)/2", gaps[40], 0.5 * gaps[0]),
+    )
 
 
 def criterion_9_voronoi_trend():
     """Mean-square gap to S_{q,H} decreases as X doubles (H = X^2/2)."""
-    q = 3
-    vals = {}
-    for X in (20, 40, 80):
-        tables = _tables(q, (2 * X) ** 2)
-        vals[X] = mean_square_gap(q, tables, X, n_samples=96)
-    if not (vals[20] > vals[40] > vals[80]):
-        return False, f"gaps not decreasing: {vals}"
-    return True, ", ".join(f"X={X}: {vals[X]:.5f}" for X in (20, 40, 80))
+    gap = {X: mean_square_gap(3, _tables(3, (2 * X) ** 2), X, n_samples=96) for X in (20, 40, 80)}
+    return _verdict(*(_below(f"gap(X={b}) vs gap(X={a})", gap[b], gap[a]) for a, b in ((20, 40), (40, 80))))
 
 
 def criterion_10_stability():
     """Doubling each truncation knob moves the density by less than its budget."""
     base = _density_grid()
-    base_rep = cdf_and_moments(base)
+    base_moments = cdf_and_moments(base)["moments"]
     span = float(base.x[-1] - base.x[0])
-    deltas = {}
-    variants = {
-        "M": _density_grid(m_max=120),
-        "D": _density_grid(d_mod=12),
-        "K": _density_grid(k_max=128),
-        "A": _density_grid(A=2 * base.cutoff),
-        "step": _density_grid(step=base.step / 2),
-    }
-    for name, grid in variants.items():
+    knobs = {"M": {"m_max": 120}, "D": {"d_mod": 12}, "K": {"k_max": 128},
+             "A": {"A": 2 * base.cutoff}, "step": {"step": base.step / 2}}
+    density_rows, moment_rows = [], []
+    for name, knob in knobs.items():
+        grid = _density_grid(**knob)
         # each grid carries its own error budget; the triangle inequality
         # bounds the pointwise discrepancy by the sum of the two budgets
         budget = base.total_error + grid.total_error
         p_base = np.interp(grid.x, base.x, base.p, left=0.0, right=0.0)
         inside = (grid.x >= base.x[0]) & (grid.x <= base.x[-1])
         dp = float(np.max(np.abs(grid.p[inside] - p_base[inside])))
-        rep = cdf_and_moments(grid)
-        dm = [abs(a - b) for a, b in zip(rep["moments"], base_rep["moments"])]
-        deltas[name] = (dp, dm)
-        if dp > budget:
-            return False, f"knob {name}: density moved {dp:.2e} beyond budget {budget:.2e}"
-        for j, diff in enumerate(dm[:3]):
-            scale = max(span ** (j + 1) / (j + 1), 1.0)
-            if diff > budget * scale:
-                return False, f"knob {name}: moment {j} moved {diff:.2e} beyond {budget * scale:.2e}"
-    detail = ", ".join(f"{k}: dP {v[0]:.1e}" for k, v in deltas.items())
-    return True, f"base budget {base.total_error:.2e}; {detail}"
+        density_rows.append((name, dp / budget, dp <= budget, 1.0))
+        for j, (a, b) in enumerate(zip(cdf_and_moments(grid)["moments"][:3], base_moments)):
+            bound = budget * max(span ** (j + 1) / (j + 1), 1.0)
+            moment_rows.append((f"{name} m{j}", abs(a - b) / bound, abs(a - b) <= bound, 1.0))
+    return _verdict(_family("knob dP/budget", density_rows), _family("knob moment shift/bound", moment_rows))
 
 
 CRITERIA = [
@@ -252,14 +207,14 @@ CRITERIA = [
 
 
 def run_criteria(numbers=None, cache: str | None = None):
-    """(name, passed, detail, seconds) for each selected criterion, in order."""
+    """(name, passed, detail, seconds) for each selected criterion, in order; ValueError on an unknown number."""
     global _CACHE_DIR
+    unknown = sorted(set(numbers or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"no criterion {unknown[0]}: criteria are numbered 1 to {len(CRITERIA)}")
     _CACHE_DIR = cache
     results = []
-    for name, fn in CRITERIA:
-        num = int(name.split()[0])
-        if numbers and num not in numbers:
-            continue
+    for name, fn in [criterion for num, criterion in enumerate(CRITERIA, 1) if not numbers or num in numbers]:
         start = time.perf_counter()
         try:
             passed, detail = fn()

@@ -125,14 +125,10 @@ def rep_weights(q: int, n, d_max: int) -> np.ndarray:
     return out
 
 
-def eps_sign(d: int, q: int) -> int:
-    """Frequency sign for modulus d in the moment constraint.
-
-    +1 always for even q; for odd q it is +1 on odd d and -1 on even d.
-    """
-    if q % 2 == 0:
-        return 1
-    return 1 if d % 2 else -1
+def eps_sign(d, q: int):
+    """Frequency sign for modulus d (an int, or elementwise on an int array) in the
+    moment constraint: +1 always for even q; for odd q +1 on odd d and -1 on even d."""
+    return 1 - 2 * (q % 2) * (1 - d % 2)
 
 
 def _branch(d: int, q: int) -> tuple[int, bool]:

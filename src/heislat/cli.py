@@ -198,8 +198,9 @@ def _empirical(args):
           _opt("--criteria", type=int, nargs="*", help="subset of criteria numbers"),
           q=False, out=False, cache=True)
 def _verify(args):
+    numbers = [args.criteria] if isinstance(args.criteria, int) else args.criteria  # one int from --config
     ok = True
-    for name, passed, detail, seconds in acceptance.run_criteria(args.criteria, cache=args.cache):
+    for name, passed, detail, seconds in acceptance.run_criteria(numbers, cache=args.cache):
         print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}  ({seconds:.1f} s)")
         ok = ok and passed
     return 0 if ok else 1

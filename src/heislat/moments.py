@@ -26,6 +26,7 @@ from .arithmetic import (
     _frak_branch,
     _frozen,
     _rep_weight,
+    eps_sign,
     rep_weights,
     zeta_value,
 )
@@ -43,6 +44,7 @@ class MomentValue:
 
 
 def _moment_prefactor(q: int, ell: int, m: int) -> float:
+    """(-1)^l (pi^(q-1) / (4 Gamma(q)))^l / m^(3l/4), the prefactor of Q(m, l); the l = 2 series take twice it."""
     return (-1) ** ell * (math.pi ** (q - 1) / (4 * math.gamma(q))) ** ell / m ** (0.75 * ell)
 
 
@@ -70,8 +72,7 @@ def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.
     d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
     dd, kk = np.nonzero(np.where(np.gcd.outer(d, k) == 1, frak, 0.0))
     w = frak[dd, kk] / ((dd + 1.0) ** (q - 1.5) * (kk + 1.0) ** 1.5)
-    # eps_sign(d, q): -1 on even d for odd q
-    return _frozen(np.where((q % 2 == 1) & (dd % 2 == 1), -1, 1) * (kk + 1), dd + 1, w * (1 + 1j))
+    return _frozen(eps_sign(dd + 1, q) * (kk + 1), dd + 1, w * (1 + 1j))
 
 
 _BUDGET = 4_000_000  # products per convolution step, for both Q(m, l) routes
@@ -211,7 +212,7 @@ def q2_closed(q: int, m: int, d_max: int = 40, k_max: int = 40) -> MomentValue:
         frak, n = _frak_table(q, m, d_max, k_max)
         d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
         terms = np.where(np.gcd.outer(n, d) == 1, frak**2, 0.0) / np.multiply.outer(k**3, d ** (2.0 * q - 3))
-        pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2 / m**1.5
+        pref = 2 * _moment_prefactor(q, 2, m)
         return lambda d_top, k_top: pref * float(np.sum(terms[:k_top, :d_top])), {"d_max": d_max, "k_max": k_max}
 
     return _moment("closed2", m, 2, (d_max, k_max), _halved, prepare)
@@ -306,7 +307,7 @@ def _variance_series(q: int, d_max: int, n_limit: int) -> tuple[float, float]:
     W = np.where(A > 0, 2.0, 1.0) * np.where(B > 0, 2.0, 1.0) * _rep_weight(A.astype(np.float64), N, q)
     n_bin = (np.cumsum(seen) - 1)[N]  # each pair's bin among those n
     a = np.arange(top + 1)
-    half_pref = 0.5 * (math.pi ** (q - 1) / (2 * math.gamma(q))) ** 2
+    half_pref = 2 * _moment_prefactor(q, 2, 1)
     s = 2 * q - 3
     total = d_partial = 0.0
     for d in range(1, d_max + 1):

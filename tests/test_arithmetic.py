@@ -138,6 +138,11 @@ def test_xi_and_eps_sign_basic():
     for d in (1, 3, 4, 5, 8):
         for q in (3, 4, 5):
             assert eps_sign(d, q) in (-1, 1)
+    # elementwise on an int array, as the moment spectrum reads it
+    d = np.arange(1, 13)
+    for q in (3, 4, 5):
+        assert eps_sign(d, q).tolist() == [eps_sign(int(v), q) for v in d]
+        assert eps_sign(d, q).tolist() == [-1 if q % 2 and v % 2 == 0 else 1 for v in d]
 
 
 def test_zeta_against_mpmath():

@@ -126,6 +126,8 @@ def test_phi_zero_box_exit_2(command, flag, capsys):
         (["density", "--q", "3", "--xmin", "5", "--xmax", "-5"], 2),
         (["error", "--q", "3", "--x", "1e400"], 3),
         (["count", "--q", "3", "--x", "1e400"], 3),
+        (["verify", "--criteria", "1", "99"], 2),
+        (["verify", "--criteria", "0"], 2),
     ],
     ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else None,
 )
@@ -188,6 +190,18 @@ def test_verify_prints_seconds_per_criterion(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split()[:2] for line in lines] == [["PASS", "1"], ["PASS", "3"]]
     assert all(re.search(r"  \(\d+\.\d s\)$", line) for line in lines)
+
+
+@pytest.mark.parametrize("value, code", [("99", 2), ("1", 0)])
+def test_verify_criterion_from_config(tmp_path, capsys, value, code):
+    cfg = tmp_path / "conf"
+    cfg.write_text(f"criteria = {value}\n")
+    assert run(["--config", str(cfg), "verify"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("argument error: no criterion 99")
+    else:
+        assert [line.split()[:2] for line in captured.out.splitlines()] == [["PASS", "1"]]
 
 
 def test_phi_csv(capsys):
