@@ -219,6 +219,11 @@ def rho_chi_q(q: int) -> float:
     return math.pi**q / (2 ** (q - 1) * math.gamma(q) * l_chi4_value(q))
 
 
+def _amplitude_constant(q: int) -> float:
+    """R(q) = rho_q for even q, 2^(q-1) rho_chi_q for odd q: phi_m takes R / (2 pi), S_{q,H} 2 R, the q = 3 tails R."""
+    return rho_q(q) if q % 2 == 0 else 2 ** (q - 1) * rho_chi_q(q)
+
+
 @dataclass
 class ArithTables:
     """Prefix sums of the 2q-dimensional sum-of-squares counts.
@@ -235,12 +240,12 @@ class ArithTables:
     limit: int
     prefix: np.ndarray = field(repr=False)
 
-    def count_radius2(self, s: int) -> int:
-        if s < 0:
-            return 0
-        if s > self.limit:
-            raise BudgetError(f"table limit {self.limit} below requested {s}")
-        return int(self.prefix[s])
+    def check_covers(self, q: int, s_max: int) -> None:
+        """ValueError unless the tables are for q, BudgetError unless they reach radius^2 s_max."""
+        if self.q != q:
+            raise ValueError("tables were built for a different q")
+        if self.limit < s_max:
+            raise BudgetError(f"tables cover radius^2 {self.limit} < required {s_max}")
 
 
 INT64_SAFE = 2**62

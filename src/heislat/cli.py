@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -198,9 +199,8 @@ def _empirical(args):
           _opt("--criteria", type=int, nargs="*", help="subset of criteria numbers"),
           q=False, out=False, cache=True)
 def _verify(args):
-    numbers = [args.criteria] if isinstance(args.criteria, int) else args.criteria  # one int from --config
     ok = True
-    for name, passed, detail, seconds in acceptance.run_criteria(numbers, cache=args.cache):
+    for name, passed, detail, seconds in acceptance.run_criteria(args.criteria, cache=args.cache):
         print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}  ({seconds:.1f} s)")
         ok = ok and passed
     return 0 if ok else 1
@@ -213,6 +213,10 @@ def _load_config(path: str) -> dict:
     return {key.strip(): val.strip() for key, val in pairs}
 
 
+# a negative number in any float notation: argparse's own pattern has no exponent and takes -1e-9 for a flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The heislat parser; config values become defaults of the options they name."""
     p = argparse.ArgumentParser(prog="heislat", description=__doc__)
@@ -220,13 +224,17 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, help, fn, options, q, out, cache in _COMMANDS:
         c = sub.add_parser(name, help=help)
+        c._negative_number_matcher = _NEGATIVE_NUMBER
         head = [_opt("--q", type=int, required=True)] if q else []
         tail = [_opt("--cache")] if cache else []
         if out:
             tail.append(_opt("--out", help=None if out is True else out))
-        dests = {c.add_argument(flag, **kw).dest for flag, kw in (*head, *options, *tail)}
-        # argparse converts a string default with the option's own type
-        c.set_defaults(run=fn, **{k: v for k, v in (config or {}).items() if k in dests})
+        actions = {a.dest: a for a in (c.add_argument(flag, **kw) for flag, kw in (*head, *options, *tail))}
+        # argparse types a string default itself; a multi-value one is split and typed here
+        defaults = {k: v for k, v in (config or {}).items() if k in actions}
+        for k in [k for k in defaults if actions[k].nargs in ("+", "*")]:
+            defaults[k] = [actions[k].type(part) for part in defaults[k].split()]
+        c.set_defaults(run=fn, **defaults)
     return p
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import BudgetError, _frozen
-from .moments import _ergodic_value, _modulus_step, _octave_tail, variance_series
+from .moments import _modulus_step, _octave_tail, variance_series
 from .phi import build_phi, component_vanishes, contributing_m
 
 DEFAULT_D_MOD = 8
@@ -202,11 +202,12 @@ def tail_variance_estimate(
 
     Difference of the full direct-series variance and the second moments of
     the components exactly as truncated for the factor averages, so the
-    Gaussian closure restores the total variance by construction.
+    Gaussian closure restores the total variance by construction.  By Parseval
+    a component's mean square is 1/2 sum |a|^2 over its spectrum, q_ergodic's l = 2.
     """
     total = variance_series(q).value
-    head = sum(_ergodic_value(q, m, 2, d_mod, k_max) for m in contributing_m(m_max))
-    return max(total - head, 0.0)
+    spectra = (build_phi(q, m, d_mod, k_max).spectrum()[2] for m in contributing_m(m_max))
+    return max(total - sum(float(np.vdot(a, a).real) / 2 for a in spectra), 0.0)
 
 
 def density(

@@ -18,11 +18,7 @@ from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
 
 def as_fraction(x) -> Fraction:
     """Exact rational from int, Fraction, decimal string, or float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
@@ -58,15 +54,11 @@ def count_points(q: int, tables: ArithTables | None = None, x=None, x2=None, x4=
     wmax = math.isqrt(p // den)  # also the largest |z|^2 counted, at w = 0
     if tables is None:
         tables = build_r2q_prefix(q, wmax)
-    if tables.q != q:
-        raise ValueError("tables were built for a different q")
-    if tables.limit < wmax:
-        raise BudgetError(f"tables cover radius^2 {tables.limit} < required {wmax}")
+    tables.check_covers(q, wmax)
     total = 0
     for w in range(-wmax, wmax + 1):
         rem = p - w * w * den  # den * (x^4 - w^2), nonnegative here
-        smax = math.isqrt(rem // den)
-        total += tables.count_radius2(smax)
+        total += int(tables.prefix[math.isqrt(rem // den)])
     return total
 
 
@@ -138,17 +130,14 @@ def count_points_fast(q: int, tables: ArithTables, x_num: int, x_den: int) -> in
     and once more in float64, off by at most (2n + 2) 2^-53 times that sum
     for its 2n summands, n = W - a.  While that bound stays below 2^62 the
     two fix the exact integer.  BudgetError when P0 >= 2^52, the tables stop
-    short of W, a certificate fails or the bound does not hold;
-    count_points runs on Python integers.
+    short of W (ArithTables.check_covers), a certificate fails or the bound
+    does not hold; count_points runs on Python integers.
     """
-    if tables.q != q:
-        raise ValueError("tables were built for a different q")
     p0 = x_num**4 // x_den**4
     if p0 >= 2**52:
         raise BudgetError("x^4 too large for the float64 counting path")
     wmax = math.isqrt(p0)
-    if wmax > tables.limit:
-        raise BudgetError("tables too small for the requested dilation")
+    tables.check_covers(q, wmax)
     a = math.isqrt(p0 // 2)
     prefix = tables.prefix
     wrapped, approx = 0, 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .arithmetic import (
     rep_weights,
     zeta_value,
 )
-from .phi import build_phi, component_vanishes, contributing_m
+from .phi import _merge, build_phi, component_vanishes, contributing_m
 
 
 @dataclass
@@ -44,32 +44,22 @@ class MomentValue:
 
 
 def _moment_prefactor(q: int, ell: int, m: int) -> float:
-    """(-1)^l (pi^(q-1) / (4 Gamma(q)))^l / m^(3l/4), the prefactor of Q(m, l); the l = 2 series take twice it."""
+    """(-1)^l (pi^(q-1) / (4 Gamma(q)))^l / m^(3l/4), the prefactor of Q(m, l); variance_series takes twice it."""
     return (-1) ** ell * (math.pi ** (q - 1) / (4 * math.gamma(q))) ** ell / m ** (0.75 * ell)
-
-
-def _frak_table(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """frak_r(m k^2, d) at [k - 1, d - 1] over the box, and n = m k^2.
-
-    frak_r is the _frak_branch factor times the plain or twisted weight of
-    one rep_weights table; the moment formulas also need gcd conditions,
-    which their callers apply.
-    """
-    n = m * np.arange(1, k_max + 1) ** 2
-    factor, w, _ = _branch_weights(rep_weights(q, n, d_max), q, _frak_branch)
-    return factor * w, n
 
 
 @lru_cache(maxsize=None)
 def _frak_items(q: int, m: int, d_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The analytic spectrum (num, den, amp) = (eps(d) k, d, w (1 + i)), d-major.
 
-    One item per nonzero frak_r in the box with gcd(k, d) = 1, and
-    w = frak_r / (d^(q-1.5) k^1.5).  w (1 + i) = sqrt(2) w e^{i pi/4}, so phase
-    products stay exact; q_analytic divides the sqrt(2) factors out once.
+    One item per nonzero frak_r(m k^2, d), the _frak_branch factor times a rep_weights
+    weight, in the box with gcd(k, d) = 1, and w = frak_r / (d^(q-1.5) k^1.5).
+    w (1 + i) = sqrt(2) w e^{i pi/4}, so phase products stay exact; q_analytic
+    divides the sqrt(2) factors out once.
     """
-    frak = _frak_table(q, m, d_max, k_max)[0].T
     d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
+    factor, weight, _ = _branch_weights(rep_weights(q, m * k * k, d_max), q, _frak_branch)
+    frak = (factor * weight).T
     dd, kk = np.nonzero(np.where(np.gcd.outer(d, k) == 1, frak, 0.0))
     w = frak[dd, kk] / ((dd + 1.0) ** (q - 1.5) * (kk + 1.0) ** 1.5)
     return _frozen(eps_sign(dd + 1, q) * (kk + 1), dd + 1, w * (1 + 1j))
@@ -80,12 +70,6 @@ _KEY_PRIME = 2**61 - 1  # frequency keys are residues mod this Mersenne prime
 # products per block of one convolution step: a block's keys, products and
 # lookups take about 100 bytes a product, so under 1 MB whatever the step
 _PRODUCT_BLOCK = 2**13
-
-
-def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the sum of vals on each."""
-    keys, inv = np.unique(keys, return_inverse=True)
-    return keys, np.bincount(inv, vals.real, len(keys)) + 1j * np.bincount(inv, vals.imag, len(keys))
 
 
 def _negated(keys: np.ndarray) -> np.ndarray:
@@ -201,26 +185,21 @@ def q_analytic(q: int, m: int, ell: int, d_max: int = 16, k_max: int = 16) -> Mo
 
 
 def q2_closed(q: int, m: int, d_max: int = 40, k_max: int = 40) -> MomentValue:
-    """Q(m, 2) from the closed-form double series.
+    """Q(m, 2) = _moment_prefactor(q, 2, m) sum |amp|^2 over the _frak_items, summed directly.
 
-    Its ladder is _halved, whose box is a corner of this one's table (the
-    k-sum decays like k^-3 and the d-sum like d^(3-2q), so the halved-box
-    change dominates the true tail).
+    q_analytic at l = 2 takes it through _power_mean.  For squarefree m the
+    items' gcd(k, d) = 1 keeps the double series' gcd(m k^2, d) = 1 terms: p | d, m
+    and not k makes d | b force p^2 | m k^2.  Its ladder is _halved, the corner
+    den <= d, |num| <= k of the same list (that change dominates the tail).
     """
 
-    def prepare():
-        frak, n = _frak_table(q, m, d_max, k_max)
-        d, k = np.arange(1, d_max + 1), np.arange(1, k_max + 1)
-        terms = np.where(np.gcd.outer(n, d) == 1, frak**2, 0.0) / np.multiply.outer(k**3, d ** (2.0 * q - 3))
-        pref = 2 * _moment_prefactor(q, 2, m)
-        return lambda d_top, k_top: pref * float(np.sum(terms[:k_top, :d_top])), {"d_max": d_max, "k_max": k_max}
+    def value_at(d_top, k_top):
+        num, den, amp = _frak_items(q, m, d_max, k_max)
+        corner = amp[(den <= d_top) & (np.abs(num) <= k_top)]
+        return _moment_prefactor(q, 2, m) * float(np.vdot(corner, corner).real)
 
-    return _moment("closed2", m, 2, (d_max, k_max), _halved, prepare)
-
-
-def _ergodic_value(q: int, m: int, ell: int, d_mod: int, k_max: int) -> float:
-    num, den, amp = build_phi(q, m, d_mod, k_max).spectrum()
-    return _power_mean(num, den, amp / 2, ell).real
+    meta = {"d_max": d_max, "k_max": k_max}
+    return _moment("closed2", m, 2, (d_max, k_max), _halved, lambda: (value_at, meta))
 
 
 def q_ergodic(q: int, m: int, ell: int, d_mod: int = 8, k_max: int = 64) -> MomentValue:
@@ -233,9 +212,13 @@ def q_ergodic(q: int, m: int, ell: int, d_mod: int = 8, k_max: int = 64) -> Mome
     _modulus_step.
     """
 
+    def value_at(d, k):
+        num, den, amp = build_phi(q, m, d, k).spectrum()
+        return _power_mean(num, den, amp / 2, ell).real
+
     def prepare():
         trunc = build_phi(q, m, d_mod, k_max)
-        return partial(_ergodic_value, q, m, ell), {"period": trunc.period, "frequencies": len(trunc.spectrum()[0])}
+        return value_at, {"period": trunc.period, "frequencies": len(trunc.spectrum()[0])}
 
     return _moment("ergodic", m, ell, (d_mod, k_max), _modulus_step, prepare)
 
@@ -353,10 +336,10 @@ def density_moment(
     Errors propagate through both recursions to first order in absolute
     values.  Each K_n also carries an m-tail estimate: the _octave_tail of
     the top octave m_max/2 < m <= m_max of |kappa_n(m)| (the n = 2 tail
-    decays like log(m)/sqrt(m), higher orders faster).
+    decays like log(m)/sqrt(m), higher orders faster).  ValueError for j < 0 or m_max < 1.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    if j < 0 or m_max < 1:
+        raise ValueError(f"need j >= 0 and m_max >= 1, got j = {j}, m_max = {m_max}")
     ms = contributing_m(m_max)
     zeros = np.zeros(len(ms))
     mu, dmu = [np.ones(len(ms)), zeros], [zeros, zeros]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import _branch, _branch_weights, _frozen, rep_weights, rho_chi_q, rho_q
+from .arithmetic import _amplitude_constant, _branch, _branch_weights, _frozen, rep_weights
 
 # points per block of PhiTruncation.__call__, about 40 bytes of working memory
 # each (t mod den, z and the Horner accumulator).  On partial_sum_phi at 4000
@@ -33,6 +33,12 @@ def _amplitudes(coef, is_cos) -> np.ndarray:
     The one place the phase convention of phi_m and S_{q,H} is written down.
     """
     return coef * (np.exp(-1j * math.pi / 4) * np.where(is_cos, 1, -1j))
+
+
+def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of the complex vals on each."""
+    keys, inv = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inv, vals.real, len(keys)) + 1j * np.bincount(inv, vals.imag, len(keys))
 
 
 def component_vanishes(m: int) -> bool:
@@ -92,10 +98,8 @@ class PhiTruncation:
         if self._spec is None:
             g = np.gcd(self.k, self.d)
             stride = self.k_max + 1
-            keys, inv = np.unique(self.d // g * stride + self.k // g, return_inverse=True)
+            keys, a = _merge(self.d // g * stride + self.k // g, _amplitudes(self.coef, self.is_cos))
             den, num = np.divmod(keys, stride)
-            z = _amplitudes(self.coef, self.is_cos)
-            a = np.bincount(inv, z.real, len(keys)) + 1j * np.bincount(inv, z.imag, len(keys))
             self._spec = _frozen(num, den, a)
         return self._spec
 
@@ -190,17 +194,10 @@ def build_phi(q: int, m: int, d_max: int = 128, k_max: int = 128) -> PhiTruncati
     k = np.arange(1, 1 if component_vanishes(m) else k_max + 1)  # no terms when phi_m vanishes
     d = np.arange(1, d_max + 1)
     factor, w, twisted = _branch_weights(rep_weights(q, m * k * k, d_max), q, _branch)
-    pref = amplitude_prefactor(q) * (1.0 / m**0.75)
+    pref = _amplitude_constant(q) / (2 * math.pi) * (1.0 / m**0.75)
     coef = (pref * factor * w).T / np.multiply.outer(d ** (q - 1.5), k**1.5)
     dd, kk = np.nonzero(coef)
     return PhiTruncation(q, m, d_max, k_max, *_frozen(k[kk], d[dd], coef[dd, kk], twisted[dd]))
-
-
-def amplitude_prefactor(q: int) -> float:
-    """Prefactor of the phi series (absolute value, both parities)."""
-    if q % 2 == 0:
-        return rho_q(q) / (2 * math.pi)
-    return 2 ** (q - 2) * rho_chi_q(q) / math.pi
 
 
 def partial_sum_phi(q: int, M: int, x, d_max: int = 128, k_max: int = 128) -> np.ndarray:

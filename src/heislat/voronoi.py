@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import ArithTables, _branch, _chi4_array, _rep_weight, rho_chi_q, rho_q
+from .arithmetic import ArithTables, _amplitude_constant, _branch, _chi4_array, _rep_weight
 from .empirical import ErrorSample, sample_errors
 from .phi import _amplitudes
 
@@ -249,7 +249,7 @@ def iter_S_rows(q: int, H: float):
     Each modulus d takes its (factor, twisted) from arithmetic._branch;
     twisted rows are the cosine rows.  Only nonzero terms are yielded.
     """
-    amp = 2 * rho_q(q) if q % 2 == 0 else 2**q * rho_chi_q(q)
+    amp = 2 * _amplitude_constant(q)
     for d in range(1, math.isqrt(math.floor(H)) + 1):
         factor, twisted = _branch(d, q)
         if factor:
@@ -293,7 +293,7 @@ def _T_rows(q: int, H: float):
     bit for bit.  The pairs, about (H/2) log H of them (11,603 at H = 3200),
     are held at once: far less than the O(H^2) terms of iter_S_rows before them.
     """
-    amp = 2 ** (q - 1) * rho_chi_q(q)
+    amp = _amplitude_constant(q)
     mods = []
     for d in range(math.isqrt(math.floor(H)) + 1, math.floor(H) + 1):
         factor, twisted = _branch(d, q)

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislat import arithmetic
-from heislat.moments import _frak_table
 from heislat.arithmetic import (
     INT64_SAFE,
     BudgetError,
     _branch,
+    _branch_weights,
     _frak_branch,
     build_r2q_prefix,
     chi4,
@@ -32,6 +32,7 @@ from heislat.arithmetic import (
     two_square_reps,
     zeta_value,
 )
+from heislat.lattice import count_points
 
 
 def test_chi4_periodic_and_multiplicative():
@@ -109,8 +110,8 @@ def test_rep_weights_blocks_and_rejects(monkeypatch):
 def test_frak_r_vanishes_for_d_2_mod_4():
     for q in (3, 4):
         for m in (1, 2, 5):
-            frak = _frak_table(q, m, 10, 3)[0]
-            assert not frak[:, [1, 5, 9]].any()
+            factor, w, _ = _branch_weights(rep_weights(q, m * np.arange(1, 4) ** 2, 10), q, _frak_branch)
+            assert not (factor * w)[:, [1, 5, 9]].any()
 
 
 # (factor, twisted) of _branch and of _frak_branch for d = 1, 2, 3, 0 mod 4;
@@ -195,10 +196,17 @@ def test_prefix_matches_bruteforce_q3(tables_q3_small):
     assert np.array_equal(tables_q3_small.prefix[: s_max + 1], expect)
 
 
-def test_count_radius2_bounds(tables_q3_small):
-    assert tables_q3_small.count_radius2(-5) == 0
-    with pytest.raises(BudgetError):
-        tables_q3_small.count_radius2(tables_q3_small.limit + 1)
+def test_check_covers(tables_q3_small):
+    # the one coverage rule that count_points and count_points_fast read
+    tables_q3_small.check_covers(3, tables_q3_small.limit)
+    with pytest.raises(ValueError, match="different q"):
+        tables_q3_small.check_covers(4, 0)
+    with pytest.raises(BudgetError, match="tables"):
+        tables_q3_small.check_covers(3, tables_q3_small.limit + 1)
+    with pytest.raises(ValueError, match="different q"):
+        count_points(4, tables_q3_small, x=1)
+    with pytest.raises(BudgetError, match="tables"):
+        count_points(3, tables_q3_small, x=45)  # x^2 = 2025 > 2000
 
 
 def test_table_save_load_roundtrip(tmp_path, tables_q4_small):

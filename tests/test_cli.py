@@ -118,12 +118,15 @@ def test_phi_zero_box_exit_2(command, flag, capsys):
         (["voronoi-gap", "--q", "3", "--X", "4", "--H", "inf"], 2),
         (["voronoi-gap", "--q", "3", "--X", "4", "--H", "nan"], 2),
         (["voronoi-gap", "--q", "3", "--X", "4", "--H", "-5"], 2),
+        (["voronoi-gap", "--q", "3", "--X", "4", "--H", "-1e2"], 2),
         (["density", "--q", "3", "--A", "-1"], 2),
         (["density", "--q", "3", "--A", "inf"], 2),
         (["density", "--q", "3", "--A", "nan"], 2),
         (["density", "--q", "3", "--step", "0"], 2),
         (["density", "--q", "3", "--step", "-0.01"], 2),
         (["density", "--q", "3", "--xmin", "5", "--xmax", "-5"], 2),
+        (["density", "--q", "3", "--xmin", "-1e-9", "--xmax", "-2e-9"], 2),
+        (["density-moment", "--q", "3", "--j", "2", "--Mmax", "0"], 2),
         (["error", "--q", "3", "--x", "1e400"], 3),
         (["count", "--q", "3", "--x", "1e400"], 3),
         (["verify", "--criteria", "1", "99"], 2),
@@ -138,6 +141,14 @@ def test_bad_input_exit_code(argv, code, capsys):
     assert captured.err.startswith("argument error:" if code == 2 else "budget error:")
     if "--H" in argv:
         assert "H =" in captured.err
+
+
+@pytest.mark.parametrize("t", ["-1e-3", "-2.5E+1", "-.5"])
+def test_negative_value_in_any_notation_is_a_value(t, capsys):
+    assert run(["phi", "--q", "3", "--m", "1", "--D", "8", "--K", "8", "--t", t]) == 0
+    by_flag = capsys.readouterr().out
+    assert run(["phi", "--q", "3", "--m", "1", "--D", "8", "--K", "8", f"--t={t}"]) == 0
+    assert capsys.readouterr().out == by_flag and by_flag.splitlines()[1].startswith(repr(float(t)))
 
 
 def test_moments_routes_agree(capsys):
@@ -317,6 +328,13 @@ def test_error_json_out(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text())
     assert payload["x"] == "3/2" and "normalized_error" in payload
+
+
+def test_config_gives_multi_value_options_every_value(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("criteria = 1 3\n")
+    assert run(["--config", str(cfg), "verify"]) == 0
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [["PASS", "1"], ["PASS", "3"]]
 
 
 def test_config_sets_options_with_defaults(tmp_path, capsys):

@@ -8,12 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heislat import moments
-from heislat.arithmetic import BudgetError, chi4, eps_sign, two_square_reps, zeta_value
+from heislat import distribution, moments
+from heislat.arithmetic import (
+    BudgetError,
+    _branch_weights,
+    _frak_branch,
+    chi4,
+    eps_sign,
+    rep_weights,
+    two_square_reps,
+    zeta_value,
+)
 from heislat.distribution import tail_variance_estimate
 from heislat.moments import (
+    MomentValue,
     _frak_items,
-    _frak_table,
     _moment_prefactor,
     _power_mean,
     density_moment,
@@ -23,7 +32,10 @@ from heislat.moments import (
     third_moment_sum,
     variance_series,
 )
-from heislat.phi import PhiTruncation, build_phi
+from heislat.phi import PhiTruncation, build_phi, contributing_m
+
+# the (q, m) pairs of acceptance criterion 4
+CRITERION_4_PAIRS = [(q, m) for q in (3, 4) for m in (1, 2, 5, 13, 17)]
 
 
 def test_first_moment_vanishes():
@@ -41,10 +53,21 @@ def test_vanishing_component_moments_zero():
 
 
 def test_second_moment_closed_equals_analytic():
-    for q, m in [(3, 1), (3, 2), (4, 1), (4, 5)]:
-        c = q2_closed(q, m, d_max=16, k_max=16)
-        a = q_analytic(q, m, 2, d_max=16, k_max=16)
-        assert a.value == pytest.approx(c.value, rel=1e-10)
+    # q2_closed sums prefactor |amp|^2 over the _frak_items directly, and
+    # q_analytic takes the same finite sum through _power_mean
+    for box in (16, 40):
+        for q, m in CRITERION_4_PAIRS:
+            closed, analytic = q2_closed(q, m, box, box), q_analytic(q, m, 2, box, box)
+            assert closed.value == pytest.approx(analytic.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_tail_variance_head_is_the_ergodic_second_moment(monkeypatch, q):
+    # Parseval: with the total stubbed to twice the summed q_ergodic second
+    # moments of the truncated components, what is left is that sum itself
+    head = sum(q_ergodic(q, m, 2).value for m in contributing_m(20))
+    monkeypatch.setattr(distribution, "variance_series", lambda q: MomentValue(2 * head, 0.0, "stub"))
+    assert tail_variance_estimate(q, 20) == pytest.approx(head, rel=1e-14)
 
 
 def test_second_moment_ergodic_consistent():
@@ -269,7 +292,8 @@ def _tuple_oracle(q, m, ell, box):
     fractions; it contributes prod w * cos(pi/4 * sum e).
     """
     signed = []
-    frak = _frak_table(q, m, box, box)[0]
+    factor, w, _ = _branch_weights(rep_weights(q, m * np.arange(1, box + 1) ** 2, box), q, _frak_branch)
+    frak = factor * w
     for d in range(1, box + 1):
         for k in range(1, box + 1):
             v = frak[k - 1, d - 1] if math.gcd(k, d) == 1 else 0.0

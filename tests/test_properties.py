@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislat.arithmetic import chi4, r2, rep_weights, two_square_reps
+from heislat.arithmetic import _branch_weights, _frak_branch, chi4, r2, rep_weights, two_square_reps
 from heislat.lattice import count_points, count_points_fast
-from heislat.moments import _frak_table, q2_closed
+from heislat.moments import q2_closed
 from heislat.phi import build_phi, component_vanishes
 
 q_strategy = st.integers(min_value=3, max_value=6)
@@ -44,7 +44,8 @@ def test_weight_dominated_by_r2(m, d, q):
 @given(m=st.integers(1, 500), q=q_strategy)
 @settings(max_examples=100, deadline=None)
 def test_frak_r_zero_at_2_mod_4(m, q):
-    frak = _frak_table(q, m, 6, 1)[0][0]
+    factor, w, _ = _branch_weights(rep_weights(q, [m], 6), q, _frak_branch)
+    frak = (factor * w)[0]
     assert frak[1] == 0.0
     assert frak[5] == 0.0
 
