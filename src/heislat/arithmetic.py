@@ -229,11 +229,12 @@ class ArithTables:
     """Prefix sums of the 2q-dimensional sum-of-squares counts.
 
     prefix[s] = #{z in Z^(2q) : |z|^2 <= s} for 0 <= s <= limit, exact
-    integers held in int64.  build_r2q_prefix makes them by q - 1 FFT
-    convolutions of r_2, each certified by a rounding bound with constant
-    _FFT_C (split into bit limbs where needed) and a checksum, and raises
-    BudgetError where a count or the total could leave int64 or a
-    certificate fails.
+    integers held in int64.  build_r2q_prefix makes them at q = 3 by one
+    exact integer sieve of Jacobi's six-square divisor sums, and at every
+    other q by q - 1 FFT convolutions of r_2, each certified by a rounding
+    bound with constant _FFT_C (split into bit limbs where needed) and a
+    checksum.  It raises BudgetError where a count or the total could leave
+    int64 or a certificate fails.
     """
 
     q: int
@@ -257,15 +258,18 @@ _EPS = float(np.finfo(np.float64).eps)
 def build_r2q_prefix(q: int, limit: int) -> ArithTables:
     """Build shell counts of Z^(2q) up to squared radius `limit`.
 
-    r_2 is counted exactly over the pairs a, b >= 0 with a^2 + b^2 <= limit,
-    weighted (2 if a else 1)(2 if b else 1) for the signs.  Then q - 1
-    real-FFT convolutions r_{2j+2} = r_{2j} * r_2, truncated to [0, limit],
-    run at the smallest length n = 2^a 3^b 5^c >= 2 limit + 1, so nothing
-    wraps into [0, limit]; r_2's spectrum is taken once.  One cumsum gives
-    the prefix.
+    At q = 3 the counts r_6 come from Jacobi's six-square theorem by the
+    exact int64 sieve _r6_sieve, with no float step to certify.  At every
+    other q, r_2 is counted exactly over the pairs a, b >= 0 with
+    a^2 + b^2 <= limit, weighted (2 if a else 1)(2 if b else 1) for the
+    signs.  Then q - 1 real-FFT convolutions r_{2j+2} = r_{2j} * r_2,
+    truncated to [0, limit], run at the smallest length n = 2^a 3^b 5^c >=
+    2 limit + 1, so nothing wraps into [0, limit]; r_2's spectrum is taken
+    once.  (q = 2 and 4 have divisor-sum formulas too, but no caller builds
+    them past about 2e4.)  One cumsum gives the prefix.
 
-    Every product is certified exact.  A float64 FFT convolution of x and y
-    is off by at most C eps log2(n) |x|_2 |y|_2 in each entry (Percival
+    Every FFT product is certified exact.  A float64 FFT convolution of x
+    and y is off by at most C eps log2(n) |x|_2 |y|_2 in each entry (Percival
     2003; Brent, Percival and Zimmermann 2007), with C = _FFT_C = 32 and
     eps = 2^-52; below 1/4, rounding to the nearest integer is exact.  Where
     r_{2j} fails that bound it is split into the fewest equal-width bit limbs
@@ -277,7 +281,7 @@ def build_r2q_prefix(q: int, limit: int) -> ArithTables:
     reaches 2^62), when even 1-bit limbs fail the bound, when a checksum
     fails, or when the total, summed in float64 with a relative margin,
     reaches 2^62 (at q = 3 near radius^2 9.6e5: 1200^2 raises).  The last
-    is raised before any transform when the ball of radius
+    is raised before any sieve or transform when the ball of radius
     sqrt(limit) - sqrt(2q)/2, which the unit cubes about the counted points
     cover, already has volume 2^62.
     """
@@ -287,17 +291,63 @@ def build_r2q_prefix(q: int, limit: int) -> ArithTables:
     r_safe = math.exp((math.log(INT64_SAFE) + 1e-9 + math.lgamma(q + 1)) / (2 * q)) / math.sqrt(math.pi)
     if limit > (r_safe + math.sqrt(2 * q) / 2) ** 2:
         raise BudgetError("cumulative counts exceed the exact int64 budget")
+    counts = _r6_sieve(limit) if q == 3 else _convolve_powers(_r2_counts(limit), q - 1)
+    total = float(np.sum(counts, dtype=np.float64))
+    if total * (1 + (limit + 2) * _EPS) >= INT64_SAFE:
+        raise BudgetError("cumulative counts exceed the exact int64 budget")
+    return ArithTables(q=q, limit=limit, prefix=np.cumsum(counts, out=counts))
+
+
+def _r2_counts(limit: int) -> np.ndarray:
+    """r_2(n) for 0 <= n <= limit, one vectorised row of b per a <= sqrt(limit)."""
     sq = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
     weight = np.where(sq > 0, 2, 1)
     r2 = np.zeros(limit + 1, dtype=np.int64)
     for a2, wa in zip(sq.tolist(), weight.tolist()):
         nb = math.isqrt(limit - a2) + 1
         r2[a2 + sq[:nb]] += wa * weight[:nb]
-    counts = _convolve_powers(r2, q - 1)
-    total = float(np.sum(counts, dtype=np.float64))
-    if total * (1 + (limit + 2) * _EPS) >= INT64_SAFE:
-        raise BudgetError("cumulative counts exceed the exact int64 budget")
-    return ArithTables(q=q, limit=limit, prefix=np.cumsum(counts, out=counts))
+    return r2
+
+
+def _r6_sieve(limit: int) -> np.ndarray:
+    """r_6(n) for 0 <= n <= limit, exactly in int64, from Jacobi's six-square theorem.
+
+    r_6(n) = 16 sum_{d|n} chi4(n/d) d^2 - 4 sum_{d|n} chi4(d) d^2 for n >= 1
+    (Jacobi 1829; Grosswald, Representations of Integers as Sums of Squares,
+    1985), that is the sum of d^2 (16 chi4(e) - 4 chi4(d)) over the pairs
+    d e = n.  The hyperbola split takes each pair once: for e <= s =
+    isqrt(limit) one strided add per e over the multiples of e, then for
+    the pairs with e > s, whose d <= limit // (s + 1) <= s, one per d.
+    That is about 2 s loop steps of two or three numpy calls each, and
+    O(limit log limit) integer adds.
+
+    No intermediate can overflow: every array entry, temporary and partial
+    sum of r6[n] is a sum of parts 16 d^2 chi4(e) and -4 d^2 chi4(d) over
+    distinct pairs, so it is at most 20 sigma_2(n) < 20 zeta(2) limit^2 in
+    size, below 2^46 for every limit under 1200^2 and so for every limit
+    that build_r2q_prefix's int64 prefix reach admits.
+    """
+    r6 = np.zeros(limit + 1, dtype=np.int64)
+    r6[0] = 1
+    s = math.isqrt(limit)
+    chi = np.zeros(limit + 1, dtype=np.int64)
+    chi[1::4], chi[3::4] = 1, -1
+    d2 = np.arange(limit + 1, dtype=np.int64) ** 2
+    minus = d2 * chi
+    minus *= -4  # -4 chi4(d) d^2
+    d2 *= 16  # 16 d^2
+    for e in range(1, s + 1):
+        row = r6[e::e]  # n = d e for d = 1 .. limit // e
+        row += minus[1 : limit // e + 1]
+        if e % 4 == 1:
+            row += d2[1 : limit // e + 1]
+        elif e % 4 == 3:
+            row -= d2[1 : limit // e + 1]
+    for d in range(1, limit // (s + 1) + 1):
+        row = r6[d * (s + 1) :: d]  # n = d e for e = s + 1 .. limit // d
+        row += chi[s + 1 : limit // d + 1] * (16 * d * d)
+        row += minus[d]
+    return r6
 
 
 def _convolve_powers(r2: np.ndarray, steps: int) -> np.ndarray:

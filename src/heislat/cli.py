@@ -213,8 +213,9 @@ def _load_config(path: str) -> dict:
     return {key.strip(): val.strip() for key, val in pairs}
 
 
-# a negative number in any float notation: argparse's own pattern has no exponent and takes -1e-9 for a flag
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# a negative number in any float notation, -inf and -nan too: argparse's own pattern
+# has no exponent and takes -1e-9 for a flag
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

@@ -233,7 +233,10 @@ def density(
     to _modulus_step(d_mod, k_max), so m_max < 8 or a box with no coarser
     step raises ValueError, and so does a given A or step that is not
     finite and > 0, or a grid [x_min, x_max] that is not finite with
-    x_min < x_max, before any inversion work.
+    x_min < x_max, before any inversion work.  BudgetError, before the sigma
+    and x grids are allocated, when the arrays char_function holds over the
+    sigma grid or the len(x) x len(sigma) complex inversion array would pass
+    BLOCK_BYTES.
     """
     if m_max < 8:
         raise ValueError(f"m_max = {m_max} has no coarser closure for its error estimate; need m_max >= 8")
@@ -262,6 +265,14 @@ def density(
     if step is None:
         step = min(1.0 / (4 * A), 1.0 / (4 * max(abs(x_min), abs(x_max))))
     x_step = sd / 50.0
+    # grid sizes as floats, so an absurd step fails here and not in an int conversion;
+    # per sigma, _factor_from_bins holds 5 N_BINS / 64 + 64 complex values
+    n_sigma, n_x = A / step + 2, (x_max - x_min) / x_step + 2
+    if 16 * n_sigma * max(5 * N_BINS // 64 + 64, n_x) > BLOCK_BYTES:
+        raise BudgetError(
+            f"{n_sigma:.3g} sigma by {n_x:.3g} x points need over {BLOCK_BYTES >> 20} MB; "
+            "raise step or narrow [x_min, x_max]"
+        )
 
     sigma = np.arange(int(math.ceil(A / step)) + 1) * step
     phi = char_function(q, sigma, m_max, d_mod, k_max, v_tail)

@@ -17,9 +17,12 @@ from .arithmetic import ArithTables, BudgetError, build_r2q_prefix
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational from int, Fraction, decimal string, or float."""
+    """Exact rational from int, Fraction, decimal string, or float; ValueError on a zero denominator."""
     if isinstance(x, (Fraction, int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {x!r} as an exact dilation parameter")

@@ -282,8 +282,9 @@ def test_prefix_property_against_strided_build(q, limit):
 
 
 def test_prefix_multi_limb_split_is_bit_identical(monkeypatch):
-    # a rounding constant 10^7 times larger splits every multiplicand into limbs of 2 or 3 bits
-    want = {q: build_r2q_prefix(q, 12345).prefix for q in (2, 3, 4)}
+    # a rounding constant 10^7 times larger splits every multiplicand into limbs of 2 or 3 bits;
+    # 4000 lies inside q = 5's int64 reach
+    want = {q: build_r2q_prefix(q, 4000).prefix for q in (2, 4, 5)}
     widths = []
     limb_width = arithmetic._limb_width
 
@@ -293,9 +294,26 @@ def test_prefix_multi_limb_split_is_bit_identical(monkeypatch):
 
     monkeypatch.setattr(arithmetic, "_FFT_C", arithmetic._FFT_C * 1e7)
     monkeypatch.setattr(arithmetic, "_limb_width", spy)
-    for q in (2, 3, 4):
-        assert np.array_equal(build_r2q_prefix(q, 12345).prefix, want[q])
+    for q in (2, 4, 5):
+        assert np.array_equal(build_r2q_prefix(q, 4000).prefix, want[q])
     assert any(width < bits for bits, width in widths)
+
+
+def test_prefix_q3_takes_the_sieve_not_the_fft(monkeypatch):
+    # the path is chosen by q alone: q = 3 by the six-square sieve, every other q by convolutions
+    calls = []
+    convolve = arithmetic._convolve_powers
+
+    def spy(r2, steps):
+        calls.append(steps)
+        return convolve(r2, steps)
+
+    monkeypatch.setattr(arithmetic, "_convolve_powers", spy)
+    for limit in (0, 1, 2000, 301**2):
+        build_r2q_prefix(3, limit)
+    assert calls == []
+    build_r2q_prefix(4, 2000)
+    assert calls == [3]
 
 
 def test_prefix_certificate_failure_raises(monkeypatch):

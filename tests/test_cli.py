@@ -126,9 +126,15 @@ def test_phi_zero_box_exit_2(command, flag, capsys):
         (["density", "--q", "3", "--step", "-0.01"], 2),
         (["density", "--q", "3", "--xmin", "5", "--xmax", "-5"], 2),
         (["density", "--q", "3", "--xmin", "-1e-9", "--xmax", "-2e-9"], 2),
+        (["density", "--q", "3", "--xmin", "-inf", "--xmax", "1"], 2),
+        (["density", "--q", "3", "--xmin", "-Infinity", "--xmax", "1"], 2),
+        (["density", "--q", "3", "--xmin", "-NaN", "--xmax", "1"], 2),
+        (["density", "--q", "3", "--A", "0.35422039941062605", "--step", "1e-12"], 3),
         (["density-moment", "--q", "3", "--j", "2", "--Mmax", "0"], 2),
         (["error", "--q", "3", "--x", "1e400"], 3),
         (["count", "--q", "3", "--x", "1e400"], 3),
+        (["count", "--q", "3", "--x", "1/0"], 2),
+        (["count", "--q", "3", "--x2", "1/0"], 2),
         (["verify", "--criteria", "1", "99"], 2),
         (["verify", "--criteria", "0"], 2),
     ],

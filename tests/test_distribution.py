@@ -274,6 +274,19 @@ def test_density_without_coarse_box_raises(box):
         density(3, **{"m_max": 30, "d_mod": 4, "k_max": 32, **box})
 
 
+@pytest.mark.parametrize("grid", [{"step": 1e-12}, {"step": 5e-324}, {"x_min": -1e6, "x_max": 1e6}])
+def test_density_grid_budget_raises_before_allocating(small_grid, grid):
+    # the sigma grid or the x by sigma inversion array would pass BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="sigma by"):
+            density(3, m_max=30, d_mod=4, k_max=32, A=small_grid.cutoff, **grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < distribution.BLOCK_BYTES // 16
+
+
 def test_density_rejects_undecayed_cutoff():
     with pytest.raises(CutoffError):
         density(3, m_max=30, A=0.01, d_mod=4, k_max=32)
